@@ -28,17 +28,20 @@ def interval_mask(g: Graph, mask: int) -> int:
     return result
 
 
-def extend_hull_mask(g: Graph, base: int, extra: int) -> int:
-    """Hull of ``base | extra``, assuming ``base`` is already interval-closed.
+def extend_hull_mask(btw: list[list[int]], full: int, base: int,
+                     base_members: list[int], extra: int) -> tuple[int, list[int]]:
+    """Hull of ``base | extra``, given interval-closed ``base`` and its members.
 
-    With ``base == 0`` this is the plain hull.  Starting the fixed-point
-    iteration from a closed set lets the search grow hulls incrementally:
-    new pairs are only formed between frontier vertices and the rest.
+    ``btw`` is the graph's betweenness table and ``full`` its full vertex
+    mask.  Starting the fixed-point iteration from a closed set lets the
+    search grow hulls incrementally: new pairs are only formed between
+    frontier vertices and the rest.  Returns the hull and its member list;
+    the list may be incomplete once the hull is full, where the iteration
+    stops early.  ``base_members`` is not mutated.
     """
-    btw = g.between_table()
     hull = base | extra
     frontier = mask_members(extra & ~base)
-    members = mask_members(base) + frontier
+    members = base_members + frontier
     while frontier:
         grown = 0
         for u in frontier:
@@ -49,14 +52,16 @@ def extend_hull_mask(g: Graph, base: int, extra: int) -> int:
         if not grown:
             break
         hull |= grown
+        if hull == full:
+            break
         frontier = mask_members(grown)
         members += frontier
-    return hull
+    return hull, members
 
 
 def hull_mask(g: Graph, mask: int) -> int:
     """Least interval-closed superset of a vertex bitmask."""
-    return extend_hull_mask(g, 0, mask)
+    return extend_hull_mask(g.between_table(), g.full_mask, 0, [], mask)[0]
 
 
 # -- set-level operations ----------------------------------------------------
@@ -80,16 +85,24 @@ def is_convex(g: Graph, vertices: Iterable[int]) -> bool:
 def is_concave(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff the set avoids the interval of every outside vertex pair.
 
-    Equivalent to the complement being convex.
+    Equivalent to the complement being convex.  Read off the distance
+    layers without the betweenness table: for s in the set and u outside
+    it at distance t, the v with s on a shortest u-v path are the union
+    over j >= 1 of L_j(s) & L_{t+j}(u), and none of them may lie outside.
     """
     mask = vertex_mask(g, vertices)
-    btw = g.between_table()
-    outside = mask_members(g.full_mask & ~mask)
-    for i, u in enumerate(outside):
-        row = btw[u]
-        for v in outside[i + 1:]:
-            if row[v] & mask:
-                return False
+    layers = g.distance_layers()
+    dist = g.distances()
+    outside = g.full_mask & ~mask
+    others = [u for u in range(g.vertex_count) if not mask >> u & 1]
+    for s in mask_members(mask):
+        # Pairs L_j(s) minus the set with L_{d(u,s)+j}(u), for j = 1, 2, ...
+        beyond = [layer & outside for layer in layers[s][1:]]
+        ds = dist[s]
+        for u in others:
+            for near, far in zip(beyond, layers[u][ds[u] + 1:]):
+                if near & far:
+                    return False
     return True
 
 

@@ -2,26 +2,33 @@
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Mapping
 
 from .errors import Disconnected, InvalidEdge, ParseError
 
 
+# The set bit positions of every byte value.
+_BYTE_BITS = tuple(tuple(b for b in range(8) if x >> b & 1) for x in range(256))
+
+
 class Graph:
     """Undirected simple graph on vertices ``0 .. vertex_count-1``.
 
-    Instances are immutable after construction.  Derived data (adjacency
-    bitmasks, the distance matrix, the per-pair betweenness table) is
-    computed lazily, cached on the instance, and identical no matter which
-    thread asks first, so graphs are safe to share without locking.
+    Instances are immutable after construction.  Derived data is computed
+    lazily, cached on the instance, and identical no matter which thread
+    asks first, so graphs are safe to share without locking: the BFS
+    distance layers (per vertex, one bitmask of the vertices at each
+    distance), the distance matrix read off them, and the per-pair
+    betweenness table built by intersecting them.  Adjacency bitmasks are
+    built eagerly.
 
     Edges are normalized to ``(min, max)`` pairs and stored sorted, which
     makes structural equality and the text format byte-stable.
     """
 
     __slots__ = ("vertex_count", "edges", "vertex_names",
-                 "_adj", "_adj_mask", "_dist", "_between", "_connected")
+                 "_adj", "_adj_mask", "_layers", "_dist", "_between",
+                 "_connected")
 
     def __init__(self, vertex_count: int,
                  edge_list: Iterable[tuple[int, int]],
@@ -49,6 +56,7 @@ class Graph:
             masks[v] |= 1 << u
         self._adj = tuple(frozenset(s) for s in adj)
         self._adj_mask = tuple(masks)
+        self._layers: tuple[tuple[int, ...], ...] | None = None
         self._dist: tuple[tuple[int, ...], ...] | None = None
         self._between: list[list[int]] | None = None
         self._connected: bool | None = None
@@ -76,6 +84,32 @@ class Graph:
     def name(self, v: int) -> str:
         return self.vertex_names.get(v, str(v))
 
+    def _sweep_layers(self) -> tuple[tuple[int, ...], ...]:
+        """Bitmask BFS from every vertex at once: entry [u][k] holds the
+        vertices at distance k from u, within u's component.
+
+        The vertices within distance k + 1 of u are those within k of u or
+        of a neighbour of u, so each sweep ORs the neighbours' radius-k
+        balls into u's, and what is new is u's next layer.  A source drops
+        out once its ball stops growing.
+        """
+        balls = [1 << u for u in range(self.vertex_count)]
+        layers = [[ball] for ball in balls]
+        growing = range(self.vertex_count)
+        while growing:
+            previous = balls[:]
+            still = []
+            for u in growing:
+                ball = previous[u]
+                for w in self._adj[u]:
+                    ball |= previous[w]
+                if ball != previous[u]:
+                    layers[u].append(ball ^ previous[u])
+                    balls[u] = ball
+                    still.append(u)
+            growing = still
+        return tuple(map(tuple, layers))
+
     @property
     def is_connected(self) -> bool:
         if self._connected is None:
@@ -83,40 +117,40 @@ class Graph:
                 # No vertex to start from; metric operations reject this.
                 self._connected = False
             else:
-                seen = 1
-                queue = deque([0])
-                count = 1
-                while queue:
-                    u = queue.popleft()
-                    for w in self._adj[u]:
-                        bit = 1 << w
-                        if not seen & bit:
-                            seen |= bit
-                            count += 1
-                            queue.append(w)
-                self._connected = count == self.vertex_count
+                self._layers = self._sweep_layers()
+                # Layers are disjoint, so their sum is their union.
+                self._connected = sum(self._layers[0]) == self.full_mask
         return self._connected
 
     # -- metrics ----------------------------------------------------------
 
+    def distance_layers(self) -> tuple[tuple[int, ...], ...]:
+        """Entry [u][k] is the bitmask of vertices at distance k from u.
+
+        Row u has eccentricity(u) + 1 entries.  Computed together with
+        connectivity; raises Disconnected when the metric is undefined.
+        """
+        if not self.is_connected:
+            raise Disconnected(
+                f"graph with {self.vertex_count} vertices is not connected")
+        return self._layers
+
     def distances(self) -> tuple[tuple[int, ...], ...]:
-        """All-pairs BFS hop counts; raises Disconnected when undefined."""
+        """All-pairs hop counts; raises Disconnected when undefined."""
         if self._dist is None:
-            if not self.is_connected:
-                raise Disconnected(
-                    f"graph with {self.vertex_count} vertices is not connected")
+            n = self.vertex_count
+            width = (n + 7) // 8
             rows = []
-            for source in range(self.vertex_count):
-                dist = [-1] * self.vertex_count
-                dist[source] = 0
-                queue = deque([source])
-                while queue:
-                    u = queue.popleft()
-                    du = dist[u] + 1
-                    for w in self._adj[u]:
-                        if dist[w] < 0:
-                            dist[w] = du
-                            queue.append(w)
+            for layers in self.distance_layers():
+                dist = [0] * n
+                # A row's layers cover every vertex between them, so
+                # reading them a byte at a time beats one bit at a time.
+                for k in range(1, len(layers)):
+                    for i, byte in enumerate(layers[k].to_bytes(width, "little")):
+                        if byte:
+                            base = 8 * i
+                            for b in _BYTE_BITS[byte]:
+                                dist[base + b] = k
                 rows.append(tuple(dist))
             self._dist = tuple(rows)
         return self._dist
@@ -126,22 +160,23 @@ class Graph:
 
         Includes u and v themselves.  Low-level accessor shared by the
         convexity operations and the hull-number search; callers must not
-        mutate the returned lists.
+        mutate the returned lists.  Built from the distance layers as
+        I(u, v) = OR over k of L_k(u) & L_{d(u,v)-k}(v).
         """
         if self._between is None:
+            layers = self.distance_layers()
             d = self.distances()
             n = self.vertex_count
             table: list[list[int]] = [[0] * n for _ in range(n)]
             for u in range(n):
-                du = d[u]
+                lu, du, row = layers[u], d[u], table[u]
                 for v in range(u, n):
-                    dv = d[v]
+                    lv = layers[v]
                     duv = du[v]
                     mask = 0
-                    for w in range(n):
-                        if du[w] + dv[w] == duv:
-                            mask |= 1 << w
-                    table[u][v] = mask
+                    for k in range(duv + 1):
+                        mask |= lu[k] & lv[duv - k]
+                    row[v] = mask
                     table[v][u] = mask
             self._between = table
         return self._between

@@ -32,6 +32,15 @@ BLOCK_SIZE = len(ROLE_ORDER)
 _OFFSET = {kind: off for off, kind in enumerate(ROLE_ORDER)}
 
 
+def _vertex_index(clause_count: int, kind: str, i: int) -> int:
+    """Vertex of role ``kind`` for variable i, or of clause i when ``kind``
+    is "c" (1-based, unchecked), in a reduction with ``clause_count``
+    clauses."""
+    if kind == "c":
+        return i - 1
+    return clause_count + BLOCK_SIZE * (i - 1) + _OFFSET[kind]
+
+
 @dataclass(frozen=True)
 class ReductionGraph:
     """The built graph plus the role of every vertex and the source instance."""
@@ -57,7 +66,7 @@ class ReductionGraph:
         """Vertex of clause j (1-based)."""
         if not 1 <= j <= self.clause_count:
             raise ValueError(f"clause index {j} out of range")
-        return j - 1
+        return _vertex_index(self.clause_count, "c", j)
 
     def vertex(self, kind: str, i: int) -> int:
         """Vertex of role ``kind`` for variable i (1-based)."""
@@ -65,7 +74,7 @@ class ReductionGraph:
             return self.clause_vertex(i)
         if not 1 <= i <= self.variable_count:
             raise ValueError(f"variable index {i} out of range")
-        return self.clause_count + BLOCK_SIZE * (i - 1) + _OFFSET[kind]
+        return _vertex_index(self.clause_count, kind, i)
 
     def role_token(self, v: int) -> str:
         kind, num = self.roles[v]
@@ -132,22 +141,22 @@ def gadget_edges(rg: ReductionGraph, i: int) -> list[tuple[int, int]]:
     if not 1 <= i <= rg.variable_count:
         raise ValueError(f"variable index {i} out of range")
     a, b, c = rg.occurrences[i - 1]
-    edges = _variable_gadget(rg.vertex, i, a, b, c)
+    edges = _variable_gadget(rg.clause_count, i, a, b, c)
     return sorted((u, v) if u < v else (v, u) for u, v in edges)
 
 
-def _variable_gadget(vx, i: int, a: int, b: int, c: int) -> list[tuple[int, int]]:
+def _variable_gadget(m: int, i: int, a: int, b: int, c: int) -> list[tuple[int, int]]:
     """Edges added for variable i whose positive literal sits in clauses
-    a and b and whose negation sits in clause c (all 0-based).
+    a and b and whose negation sits in clause c (all 0-based), in a
+    reduction with m clauses.
 
     GADGET_DEPENDENCIES lists the intervals these edges are wired to create.
     """
-    x, xp = vx("x", i), vx("xp", i)
-    x1, x2 = vx("x1", i), vx("x2", i)
-    xp1, xp2 = vx("xp1", i), vx("xp2", i)
-    xbar, xbarp, xbarpp = vx("xbar", i), vx("xbarp", i), vx("xbarpp", i)
-    y, ybar, z = vx("y", i), vx("ybar", i), vx("z", i)
-    ca, cb, cc = a, b, c
+    x, xp, x1, x2, xp1, xp2, xbar, xbarp, xbarpp, y, ybar, z = (
+        _vertex_index(m, kind, i)
+        for kind in ("x", "xp", "x1", "x2", "xp1", "xp2",
+                     "xbar", "xbarp", "xbarpp", "y", "ybar", "z"))
+    ca, cb, cc = (_vertex_index(m, "c", j + 1) for j in (a, b, c))
     return [
         # Positive side.  x sees z, y and its two clause vertices, so the
         # pair {x, xbarpp} spans distance 3 through the hub.
@@ -194,17 +203,12 @@ def build_reduction(cnf: RestrictedCnf) -> ReductionGraph:
     for i in range(1, n + 1):
         roles.extend((kind, i) for kind in ROLE_ORDER)
 
-    def vx(kind: str, i: int) -> int:
-        if kind == "c":
-            return i - 1
-        return m + BLOCK_SIZE * (i - 1) + _OFFSET[kind]
-
-    hub = list(range(m))
+    hub = [_vertex_index(m, "c", j) for j in range(1, m + 1)]
     for i in range(1, n + 1):
-        hub.extend((vx("y", i), vx("ybar", i), vx("z", i)))
+        hub.extend(_vertex_index(m, kind, i) for kind in ("y", "ybar", "z"))
     edges = list(combinations(sorted(hub), 2))
     for i, (a, b, c) in enumerate(occurrence_table(cnf), start=1):
-        edges.extend(_variable_gadget(vx, i, a, b, c))
+        edges.extend(_variable_gadget(m, i, a, b, c))
 
     names = {idx: f"{kind}{num}" for idx, (kind, num) in enumerate(roles)}
     graph = Graph(vertex_count, edges, names)
@@ -341,7 +345,8 @@ def verify_structure(rg: ReductionGraph) -> StructureReport:
         dist = g.distances()
         broken = []
         for i, clauses in enumerate(rg.occurrences, start=1):
-            at = dict(zip(("c_a", "c_b", "c_c"), clauses))
+            at = {key: rg.clause_vertex(j + 1)
+                  for key, j in zip(("c_a", "c_b", "c_c"), clauses)}
             at.update((kind, rg.vertex(kind, i)) for kind in ROLE_ORDER)
             for (p, q), recovered in GADGET_DEPENDENCIES:
                 du, dv = dist[at[p]], dist[at[q]]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .chordal import simplicial_vertices
-from .convexity import hull_mask
+from .convexity import extend_hull_mask, hull_mask
 from .errors import BudgetExceeded, Disconnected, TooLarge
 from .graph import Graph, mask_members, vertex_mask
 
@@ -50,12 +50,7 @@ class _Search:
 
     def close(self, base: int, base_members: list[int],
               add: int) -> tuple[int, list[int]]:
-        """Hull of ``base | add`` given closed ``base`` with member list.
-
-        Counts one evaluation against the budget.  The member list of the
-        result may be incomplete when the hull reaches the full set; by then
-        nothing downstream needs it.
-        """
+        """``extend_hull_mask`` counted as one evaluation against the budget."""
         self.evaluations += 1
         if self.budget is not None and self.evaluations > self.budget:
             raise BudgetExceeded(
@@ -64,26 +59,7 @@ class _Search:
                 lower_bound=self.lower_bound,
                 evaluations=self.evaluations,
             )
-        btw = self.btw
-        full = self.full
-        hull = base | add
-        frontier = mask_members(add & ~base)
-        members = base_members + frontier
-        while frontier:
-            grown = 0
-            for u in frontier:
-                row = btw[u]
-                for v in members:
-                    grown |= row[v]
-            grown &= ~hull
-            if not grown:
-                break
-            hull |= grown
-            if hull == full:
-                break
-            frontier = mask_members(grown)
-            members = members + frontier
-        return hull, members
+        return extend_hull_mask(self.btw, self.full, base, base_members, add)
 
     def run(self) -> HullNumberResult:
         mandatory = vertex_mask(self.g, simplicial_vertices(self.g))

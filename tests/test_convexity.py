@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from geohull import (Disconnected, IntervalDependency, build_graph, hull,
                      interval, interval_dependencies, is_concave, is_convex,
                      is_hull_set)
-from helpers import hull_oracle, interval_oracle, random_connected_graph
+from helpers import (hull_oracle, interval_oracle, random_connected_graph,
+                     random_subset)
 
 
 def complete_graph(n):
@@ -69,6 +70,9 @@ def test_disconnected_raises():
     for op in (interval, hull, is_convex, is_concave, is_hull_set):
         with pytest.raises(Disconnected):
             op(g, [0, 1])
+    for vertices in ([], range(4)):
+        with pytest.raises(Disconnected):
+            is_concave(g, vertices)
     with pytest.raises(Disconnected):
         interval_dependencies(g)
 
@@ -100,6 +104,31 @@ def test_interval_matches_path_enumeration_oracle():
             s = {v for v in range(g.vertex_count) if rng.random() < 0.4}
             assert interval(g, s) == interval_oracle(g, s)
             assert hull(g, s) == hull_oracle(g, s)
+
+
+def test_concave_iff_complement_convex_on_random_graphs():
+    rng = random.Random(31)
+    for _ in range(60):
+        g = random_connected_graph(rng, max_vertices=14)
+        everything = set(range(g.vertex_count))
+        for _ in range(6):
+            s = random_subset(rng, everything)
+            assert is_concave(g, s) == is_convex(g, everything - s)
+
+
+def test_concave_iff_complement_convex_on_sample_reduction(sample_reduction):
+    rg = sample_reduction
+    g = rg.graph
+    everything = set(range(g.vertex_count))
+    gadget_sets = [rg.variable_triple(i) for i in range(1, rg.variable_count + 1)]
+    gadget_sets += [rg.clause_region(j) for j in range(1, rg.clause_count + 1)]
+    for s in gadget_sets:
+        assert is_concave(g, s)
+        assert is_convex(g, everything - set(s))
+    rng = random.Random(37)
+    for _ in range(40):
+        s = random_subset(rng, everything)
+        assert is_concave(g, s) == is_convex(g, everything - s)
 
 
 # -- property tests -----------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from geohull import (Disconnected, InvalidEdge, ParseError, build_graph,
                      diameter, distance_matrix, eccentricity, format_graph,
                      is_clique, parse_graph)
-from helpers import path_enumeration_distance, random_connected_graph
+from helpers import (bfs_levels, interval_oracle, path_enumeration_distance,
+                     random_connected_graph)
 
 
 def test_build_path():
@@ -68,6 +69,10 @@ def test_disconnected_rejected():
     g = build_graph(4, [(0, 1), (2, 3)])
     assert not g.is_connected
     with pytest.raises(Disconnected):
+        g.distance_layers()
+    with pytest.raises(Disconnected):
+        g.between_table()
+    with pytest.raises(Disconnected):
         distance_matrix(g)
     with pytest.raises(Disconnected):
         eccentricity(g, 0)
@@ -77,6 +82,8 @@ def test_disconnected_rejected():
 
 def test_empty_graph_rejected():
     g = build_graph(0, [])
+    with pytest.raises(Disconnected):
+        g.distance_layers()
     with pytest.raises(Disconnected):
         distance_matrix(g)
 
@@ -127,6 +134,26 @@ def test_distances_match_path_enumeration_oracle():
         for u in range(n):
             for v in range(u + 1, n):
                 assert dm.dist(u, v) == path_enumeration_distance(g, u, v)
+
+
+def test_metric_tables_match_bfs_and_interval_oracles(sample_reduction):
+    rng = random.Random(29)
+    graphs = [build_graph(1, []), sample_reduction.graph]
+    graphs += [random_connected_graph(rng, max_vertices=12) for _ in range(30)]
+    for g in graphs:
+        layers = g.distance_layers()
+        dist = g.distances()
+        table = g.between_table()
+        n = g.vertex_count
+        for u in range(n):
+            levels = bfs_levels(g, u)
+            assert dist[u] == tuple(levels)
+            assert len(layers[u]) == max(levels) + 1
+            for k, layer in enumerate(layers[u]):
+                assert layer == sum(1 << w for w in range(n) if levels[w] == k)
+            for v in range(n):
+                expected = sum(1 << w for w in interval_oracle(g, {u, v}))
+                assert table[u][v] == expected
 
 
 def test_is_clique(fig2):

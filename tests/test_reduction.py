@@ -211,6 +211,34 @@ def test_dependency_check_names_the_broken_dependency(sample_reduction):
     assert failed[0].detail == "variable 1: xp is not in the interval of {x1, x2}"
 
 
+def _refuse_between_table(self):
+    raise AssertionError("the betweenness table was built")
+
+
+def test_verify_structure_never_builds_the_betweenness_table(
+        sample_reduction, monkeypatch):
+    rg = sample_reduction
+    monkeypatch.setattr(Graph, "between_table", _refuse_between_table)
+    fresh = Graph(rg.graph.vertex_count, rg.graph.edges, rg.graph.vertex_names)
+    report = verify_structure(with_graph(rg, fresh))
+    assert report.passed
+    assert len(report.checks) == 9
+
+
+def test_disconnected_mutant_gives_fail_lines(sample_reduction, monkeypatch):
+    rg = sample_reduction
+    monkeypatch.setattr(Graph, "between_table", _refuse_between_table)
+    isolated = rg.vertex("xbarpp", 1)
+    edges = [e for e in rg.graph.edges if isolated not in e]
+    report = verify_structure(with_graph(rg, Graph(rg.graph.vertex_count, edges)))
+    failed = [c.name for c in report.checks if not c.passed]
+    assert failed == ["diameter", "hub-eccentricity", "cross-distances",
+                      "simplicial", "variable-triples", "clause-regions",
+                      "gadget-dependencies"]
+    assert all("not connected" in c.detail for c in report.checks
+               if not c.passed and c.name != "simplicial")
+
+
 def test_format_labels(sample_reduction):
     lines = format_labels(sample_reduction).splitlines()
     assert len(lines) == 39
