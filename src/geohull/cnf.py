@@ -50,9 +50,8 @@ def validate_restricted(cnf: RestrictedCnf) -> list[str]:
             var = abs(lit)
             if lit == 0 or var > cnf.variable_count:
                 violations.append(f"clause {j}: literal {lit} out of range")
-    for var in range(1, cnf.variable_count + 1):
-        pos = [j for j, c in enumerate(cnf.clauses, start=1) if var in c]
-        neg = [j for j, c in enumerate(cnf.clauses, start=1) if -var in c]
+    positives, negatives = _occurrences(cnf)
+    for var, (pos, neg) in enumerate(zip(positives, negatives), start=1):
         if len(pos) != 2:
             violations.append(
                 f"variable {var}: {len(pos)} positive occurrence(s), expected 2")
@@ -63,8 +62,24 @@ def validate_restricted(cnf: RestrictedCnf) -> list[str]:
         if shared:
             violations.append(
                 f"variable {var}: positive and negative occurrences share "
-                f"clause {min(shared)}")
+                f"clause {min(shared) + 1}")
     return violations
+
+
+def _occurrences(cnf: RestrictedCnf) -> tuple[list[list[int]], list[list[int]]]:
+    """Per variable v (entry v - 1), the ascending 0-based indices of the
+    clauses holding +v and of those holding -v, from one pass over the
+    literals; out-of-range literals are skipped."""
+    n = cnf.variable_count
+    positives: list[list[int]] = [[] for _ in range(n)]
+    negatives: list[list[int]] = [[] for _ in range(n)]
+    for j, clause in enumerate(cnf.clauses):
+        for lit in clause:
+            if 0 < lit <= n:
+                positives[lit - 1].append(j)
+            elif 0 < -lit <= n:
+                negatives[-lit - 1].append(j)
+    return positives, negatives
 
 
 def occurrence_table(cnf: RestrictedCnf) -> list[tuple[int, int, int]]:
@@ -72,12 +87,8 @@ def occurrence_table(cnf: RestrictedCnf) -> list[tuple[int, int, int]]:
 
     Only meaningful for instances that pass validate_restricted.
     """
-    table = []
-    for var in range(1, cnf.variable_count + 1):
-        pos = [j for j, c in enumerate(cnf.clauses) if var in c]
-        neg = [j for j, c in enumerate(cnf.clauses) if -var in c]
-        table.append((pos[0], pos[1], neg[0]))
-    return table
+    positives, negatives = _occurrences(cnf)
+    return [(pos[0], pos[1], neg[0]) for pos, neg in zip(positives, negatives)]
 
 
 # -- evaluation -------------------------------------------------------------

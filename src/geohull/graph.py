@@ -306,6 +306,8 @@ def parse_graph(text: str) -> Graph:
         vertex_count, edge_count = int(header[0]), int(header[1])
     except ValueError as exc:
         raise ParseError(f"bad header line: {rows[0]!r}") from exc
+    if vertex_count < 0:
+        raise ParseError(f"negative vertex count: {rows[0]!r}")
     if len(rows) - 1 != edge_count:
         raise ParseError(
             f"expected {edge_count} edge lines, found {len(rows) - 1}")

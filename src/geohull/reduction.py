@@ -406,9 +406,6 @@ def equivalence_check(cnf: RestrictedCnf,
     checked as well (all tips present, one triple member per variable, and
     the read-off assignment satisfies the instance).
     """
-    violations = validate_restricted(cnf)
-    if violations:
-        raise InvalidInstance("; ".join(violations))
     if cnf.variable_count > max_variables:
         raise TooLarge(
             f"{cnf.variable_count} variables exceeds the enumeration cap "

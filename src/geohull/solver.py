@@ -12,10 +12,11 @@ not minimum and skipping it loses nothing.
 
 A second complete prune uses the monotonicity of hulls: a branch is dead as
 soon as hull(T together with every still-allowed candidate) misses a vertex,
-because no subset of those candidates can reach more.  Feasibility of the
-candidate suffix is monotone in its starting index, so each node binary
-searches the last viable start instead of probing every child, and a child's
-own suffix feasibility is already implied by the parent's check.
+because no subset of those candidates can reach more.  Suffixes of the
+candidate list are nested, so each node finds the last viable start in one
+right-to-left sweep: it grows hull(T) by one candidate at a time, skipping
+candidates already inside, and stops at the first closure that is full.  A
+child's own suffix feasibility is already implied by the parent's check.
 
 The first solution found in this ascending-index depth-first order is the
 lexicographically smallest minimum witness, and the search is sequential,
@@ -85,46 +86,17 @@ class _Search:
         already established that the whole of it closes to the full set.
         """
         full = self.full
-        # Cumulative suffix masks: suffix[i] covers allowed[i:].
-        suffix = [0] * len(allowed)
-        acc = 0
-        for i in range(len(allowed) - 1, -1, -1):
-            acc |= 1 << allowed[i]
-            suffix[i] = acc
         # Largest start index whose suffix still closes to the full set;
-        # children beyond it cannot be part of any solution.  Suffixes are
-        # nested, so each probe grows the closure of the nearest previously
-        # probed index above it instead of starting over from ``hull``.
-        probed: list[tuple[int, int, list[int]]] = []  # (index, mask, members)
-
-        def probe(i: int) -> bool:
-            base_mask, base_members = hull, members
-            for j, mask_j, members_j in probed:
-                if j > i:
-                    base_mask, base_members = mask_j, members_j
-                    break
-            mask_i, members_i = self.close(
-                base_mask, base_members, suffix[i] & ~base_mask)
-            if mask_i != full:
-                # Full results may carry truncated member lists; they are
-                # also never useful as a base, since feasibility means the
-                # search continues strictly above this index.
-                probed.append((i, mask_i, members_i))
-                probed.sort()
-            return mask_i == full
-
-        lo, hi = 0, len(allowed) - 1
-        if probe(hi):
-            last_viable = hi
-        else:
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if probe(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            last_viable = lo
-        probed.clear()
+        # children beyond it cannot be part of any solution.  The sweep
+        # stops at the first full closure, so it never grows a closure whose
+        # member list ``extend_hull_mask`` may have truncated.
+        last_viable = len(allowed)
+        grown, grown_members = hull, members
+        while grown != full:
+            last_viable -= 1
+            bit = 1 << allowed[last_viable]
+            if not grown & bit:
+                grown, grown_members = self.close(grown, grown_members, bit)
         for i in range(last_viable + 1):
             w = allowed[i]
             grown, grown_members = self.close(hull, members, 1 << w)

@@ -196,6 +196,7 @@ def test_parse_skips_comments():
     "a b\n0 1\n",
     "2 1\n0 0\n",
     "2 1\n0 5\n",
+    "-1 0\n",
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):

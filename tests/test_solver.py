@@ -82,9 +82,22 @@ def test_oracle_agreement_random():
     rng = random.Random(41)
     for _ in range(60):
         g = random_connected_graph(rng, max_vertices=9)
-        exact = hull_number_exact(g)
-        brute = hull_number_bruteforce(g)
-        assert exact.hull_number == brute.hull_number
+        assert hull_number_exact(g) == hull_number_bruteforce(g)
+
+
+def test_budget_lower_bound_is_sound():
+    rng = random.Random(53)
+    for _ in range(60):
+        g = random_connected_graph(rng, max_vertices=9)
+        oracle = hull_number_bruteforce(g)
+        for budget in (1, 2, 3, 5, 8, 13):
+            try:
+                result = hull_number_exact(g, node_budget=budget)
+            except BudgetExceeded as exc:
+                assert 1 <= exc.lower_bound <= oracle.hull_number
+                assert exc.evaluations == budget + 1
+            else:
+                assert result == oracle
 
 
 def test_witness_validity_random():
