@@ -141,6 +141,8 @@ def parse_dimacs(text: str) -> RestrictedCnf:
                 variable_count, clause_count = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise ParseError(f"bad problem line: {line!r}") from exc
+            if variable_count < 0 or clause_count < 0:
+                raise ParseError(f"negative count in problem line: {line!r}")
             continue
         if variable_count is None:
             raise ParseError("clause data before the 'p cnf' line")

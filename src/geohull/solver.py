@@ -18,7 +18,24 @@ right-to-left sweep: it grows hull(T) by one candidate at a time, skipping
 candidates already inside, and stops at the first closure that is full.  A
 child's own suffix feasibility is already implied by the parent's check.
 
-The first solution found in this ascending-index depth-first order is the
+A third complete prune rests on concave sets: S is a hull set exactly when
+it meets every nonempty concave set, since the complement of a concave set
+C is convex and so holds hull(S) whenever S misses C.  When rounds 1 and 2
+have failed, the search builds a list of concave cores once.  For each
+candidate v outside every earlier core it grows a convex set x from hull(M)
+by each candidate whose hull with x still misses v; the core is the
+complement of x, a concave set that contains v and misses M.  Most searches
+end within two rounds, where building the cores would cost more than it
+saves.  The cores give a lower bound on the picks still needed: every core
+that misses hull(T) must be met by a pick, and the picks come from the
+allowed candidates, so each such core is cut to them.  An empty cut core
+kills the branch, and r picks cannot meet r + 1 pairwise disjoint cut cores,
+so a node whose greedy disjoint packing exceeds its remaining picks is dead.
+The same bound at the root lets iterative deepening skip straight to a
+proven round, and raises the lower bound reported on an exhausted budget.
+
+Every prune removes only branches that hold no solution, so the first
+solution found in this ascending-index depth-first order is the
 lexicographically smallest minimum witness, and the search is sequential,
 so results are deterministic.
 """
@@ -48,6 +65,7 @@ class _Search:
         self.budget = node_budget
         self.evaluations = 0
         self.lower_bound = 0
+        self.cores: list[int] = []
 
     def close(self, base: int, base_members: list[int],
               add: int) -> tuple[int, list[int]]:
@@ -70,13 +88,65 @@ class _Search:
         if start == self.full:
             return HullNumberResult(base_size, frozenset(mask_members(mandatory)))
         candidates = mask_members(self.full & ~start)
-        for extra in range(1, len(candidates) + 1):
+        extra = 1
+        while extra <= len(candidates):
             self.lower_bound = base_size + extra
+            if extra == 3:
+                self.cores = self.concave_cores(start, start_members, candidates)
+                extra = max(extra, self.packing(start, self.full & ~start))
+                self.lower_bound = base_size + extra
             picks = self.descend(start, start_members, candidates, extra)
             if picks is not None:
                 witness = frozenset(mask_members(mandatory) + list(picks))
                 return HullNumberResult(base_size + extra, witness)
+            extra += 1
         raise AssertionError("adding every non-hull vertex must succeed")
+
+    def concave_cores(self, start: int, start_members: list[int],
+                      candidates: list[int]) -> list[int]:
+        """Concave sets that miss ``start``, sorted by (size, mask).
+
+        ``start`` is hull(M).  For each candidate v outside every earlier
+        core, x grows from ``start`` by each other candidate whose hull with
+        x still misses v.  Then x is convex, so its complement, the core,
+        is concave and contains v.
+        """
+        full = self.full
+        cores = []
+        covered = 0
+        for v in candidates:
+            if covered >> v & 1:
+                continue
+            x, members = start, start_members
+            for c in candidates:
+                if c != v and not x >> c & 1:
+                    grown, grown_members = self.close(x, members, 1 << c)
+                    if not grown >> v & 1:
+                        x, members = grown, grown_members
+            core = full & ~x
+            cores.append(core)
+            covered |= core
+        return sorted(cores, key=lambda core: (core.bit_count(), core))
+
+    def packing(self, hull: int, allowed: int) -> int | None:
+        """Lower bound on the picks from ``allowed`` that complete ``hull``.
+
+        Every core that misses ``hull`` must be met by a pick, and a pick
+        meets a core only inside ``allowed``.  Counts greedily chosen cut
+        cores that are pairwise disjoint; None when some cut core is empty.
+        """
+        used = 0
+        count = 0
+        for core in self.cores:
+            if core & hull:
+                continue
+            cut = core & allowed
+            if not cut:
+                return None
+            if not cut & used:
+                used |= cut
+                count += 1
+        return count
 
     def descend(self, hull: int, members: list[int],
                 allowed: list[int], remaining: int):
@@ -86,6 +156,10 @@ class _Search:
         already established that the whole of it closes to the full set.
         """
         full = self.full
+        if self.cores:
+            need = self.packing(hull, sum(1 << v for v in allowed))
+            if need is None or need > remaining:
+                return None
         # Largest start index whose suffix still closes to the full set;
         # children beyond it cannot be part of any solution.  The sweep
         # stops at the first full closure, so it never grows a closure whose

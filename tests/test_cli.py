@@ -168,6 +168,14 @@ def test_malformed_graph_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["equiv", "verify-reduction"])
+def test_negative_cnf_count_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "neg.cnf"
+    path.write_text("p cnf -1 0\n")
+    code, _ = invoke(capsys, command, "--cnf", str(path))
+    assert code == 2
+
+
 def test_bad_set_is_input_error(capsys, fig2_file):
     code, _ = invoke(capsys, "hull", "--graph", fig2_file, "--set", "0,x")
     assert code == 2

@@ -111,6 +111,8 @@ def test_format_dimacs_sorted(sample_cnf):
     "p cnf 2 2\n1 0\n",
     "p cnf 1 1\n2 0\n",
     "p cnf 1 1\n1 y 0\n",
+    "p cnf -1 0\n",
+    "p cnf 1 -1\n",
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):

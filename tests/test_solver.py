@@ -4,8 +4,10 @@ from itertools import combinations
 import pytest
 
 from geohull import (BudgetExceeded, Disconnected, TooLarge, build_graph,
-                     hull_number_bruteforce, hull_number_exact, is_hull_set,
-                     simplicial_vertices)
+                     hull_number_bruteforce, hull_number_exact, is_concave,
+                     is_hull_set, simplicial_vertices)
+from geohull.graph import mask_members, vertex_mask
+from geohull.solver import _Search
 from helpers import random_connected_graph
 
 
@@ -115,3 +117,41 @@ def test_determinism():
     for _ in range(20):
         g = random_connected_graph(rng, max_vertices=9)
         assert hull_number_exact(g) == hull_number_exact(g)
+
+
+def root_cores(g):
+    """The search's concave cores and its bound at the root, h - |M| >= bound."""
+    search = _Search(g, None)
+    start, start_members = search.close(
+        0, [], vertex_mask(g, simplicial_vertices(g)))
+    search.cores = search.concave_cores(
+        start, start_members, mask_members(g.full_mask & ~start))
+    return search.cores, search.packing(start, g.full_mask & ~start)
+
+
+def test_core_bound_agrees_with_oracle(sample_reduction):
+    # Only searches that reach round 3 build the cores, so keep the graphs
+    # that need at least three picks beyond the simplicial vertices.
+    rng = random.Random(7)
+    graphs = []
+    while len(graphs) < 30:
+        g = random_connected_graph(rng, min_vertices=10, max_vertices=13)
+        if hull_number_exact(g).hull_number - len(simplicial_vertices(g)) >= 3:
+            graphs.append(g)
+    for g in graphs:
+        oracle = hull_number_bruteforce(g)
+        assert hull_number_exact(g) == oracle
+        simplicial = simplicial_vertices(g)
+        cores, bound = root_cores(g)
+        for core in cores:
+            assert is_concave(g, mask_members(core))
+            assert simplicial.isdisjoint(mask_members(core))
+        assert bound <= oracle.hull_number - len(simplicial)
+        for budget in (1, 5, 20, 50, 100):
+            try:
+                hull_number_exact(g, node_budget=budget)
+            except BudgetExceeded as exc:
+                assert exc.lower_bound <= oracle.hull_number
+    # The n variable triples are disjoint concave sets.
+    _, bound = root_cores(sample_reduction.graph)
+    assert bound == sample_reduction.variable_count == 3
