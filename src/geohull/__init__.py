@@ -27,22 +27,23 @@ from .reduction import (CheckResult, EquivalenceReport, ReductionGraph,
                         build_reduction, equivalence_check, format_labels,
                         gadget_edges, hull_set_to_assignment,
                         induced_assignment, verify_structure, with_graph)
-from .solver import (HullNumberResult, hull_number_bruteforce,
-                     hull_number_exact)
+from .solver import (HullDecision, HullNumberResult, hull_number_at_most,
+                     hull_number_bruteforce, hull_number_exact)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Assignment", "BudgetExceeded", "CheckResult", "Disconnected",
     "DistanceMatrix", "EquivalenceReport", "GeohullError", "Graph",
-    "HullNumberResult", "IntervalDependency", "InvalidEdge",
+    "HullDecision", "HullNumberResult", "IntervalDependency", "InvalidEdge",
     "InvalidInstance", "InvalidOrdering", "NotAWitness", "ParseError",
     "ReductionGraph", "RestrictedCnf", "StructureReport", "TooLarge",
     "assignment_to_hull_set", "build_graph", "build_reduction", "chordality",
     "diameter", "distance_matrix", "eccentricity", "equivalence_check",
     "format_dimacs", "format_graph", "format_labels", "gadget_edges", "hull",
-    "hull_number_bruteforce", "hull_number_exact", "hull_set_to_assignment",
-    "induced_assignment", "interval", "interval_dependencies", "is_clique",
+    "hull_number_at_most", "hull_number_bruteforce", "hull_number_exact",
+    "hull_set_to_assignment", "induced_assignment", "interval",
+    "interval_dependencies", "is_clique",
     "is_concave", "is_convex", "is_hull_set",
     "is_perfect_elimination_ordering", "is_satisfiable", "is_simplicial",
     "make_cnf", "occurrence_table", "parse_dimacs", "parse_graph",

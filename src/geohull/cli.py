@@ -21,7 +21,7 @@ from .reduction import (build_reduction, equivalence_check, format_labels,
 from .solver import hull_number_bruteforce, hull_number_exact
 
 
-_BUDGET_HELP = ("cap on hull evaluations for the exact search, "
+_BUDGET_HELP = ("cap on hull evaluations for the {} search, "
                 "counting those spent building its concave cores")
 
 
@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="use the brute-force subset search instead")
     p.add_argument("--budget", type=int, default=None, metavar="N",
-                   help=_BUDGET_HELP)
+                   help=_BUDGET_HELP.format("exact"))
     graph_cmd("simplicial", "vertices whose neighborhood is a clique")
     graph_cmd("chordal", "perfect elimination ordering, when one exists")
     graph_cmd("deps", "all interval dependencies {u,v} -> w")
@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="check satisfiable <=> hull number <= 4n")
     p.add_argument("--cnf", required=True, metavar="FILE")
     p.add_argument("--budget", type=int, default=None, metavar="N",
-                   help=_BUDGET_HELP)
+                   help=_BUDGET_HELP.format("h <= 4n decision"))
 
     p = sub.add_parser("fixture", help="emit a built-in example graph")
     p.add_argument("name", choices=sorted(FIXTURES))

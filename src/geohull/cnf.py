@@ -50,6 +50,13 @@ def validate_restricted(cnf: RestrictedCnf) -> list[str]:
             var = abs(lit)
             if lit == 0 or var > cnf.variable_count:
                 violations.append(f"clause {j}: literal {lit} out of range")
+    if cnf.variable_count > cnf.clause_count:
+        # 3n occurrences cannot fit in at most 3m literal slots.  Stop before
+        # the per-variable pass, whose size a header alone would set.
+        violations.append(
+            f"variable count {cnf.variable_count} > clause count "
+            f"{cnf.clause_count}: 3n occurrences need n <= m")
+        return violations
     positives, negatives = _occurrences(cnf)
     for var, (pos, neg) in enumerate(zip(positives, negatives), start=1):
         if len(pos) != 2:

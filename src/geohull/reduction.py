@@ -22,7 +22,7 @@ from .cnf import (Assignment, RestrictedCnf, occurrence_table, satisfies,
 from .convexity import is_concave, is_hull_set
 from .errors import GeohullError, InvalidInstance, NotAWitness, TooLarge
 from .graph import Graph
-from .solver import hull_number_exact
+from .solver import hull_number_at_most
 
 # Fixed per-variable role order; vertex layout is clause vertices first
 # (by clause index), then one block per variable in this order.
@@ -375,19 +375,33 @@ def verify_structure(rg: ReductionGraph) -> StructureReport:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
+    """Outcome of the h <= k decision on one instance.
+
+    With a witness, ``hull_number`` is its size, an upper bound on h; without
+    one it is k + 1, a lower bound.  ``lower_bound`` is the solver's proven
+    lower bound on h.  ``witness`` is empty when there is none.
+    """
+
     satisfiable: bool
     hull_number: int
     k: int
     witness: frozenset[int]
     checks: tuple[CheckResult, ...]
+    lower_bound: int
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def lines(self) -> list[str]:
+        if self.hull_number > self.k:
+            relation = ">="
+        elif self.lower_bound == self.hull_number:
+            relation = "="
+        else:
+            relation = "<="
         out = [f"satisfiable={'true' if self.satisfiable else 'false'}",
-               f"h={self.hull_number}",
+               f"h{relation}{self.hull_number}",
                f"k={self.k}"]
         out.extend(c.line for c in self.checks)
         return out
@@ -401,10 +415,10 @@ def equivalence_check(cnf: RestrictedCnf,
                       node_budget: int | None = None) -> EquivalenceReport:
     """Confirm satisfiable <=> hull number <= 4n on one instance.
 
-    Satisfiability comes from exhaustive assignment enumeration, the hull
-    number from the exact solver; when a small witness exists its shape is
-    checked as well (all tips present, one triple member per variable, and
-    the read-off assignment satisfies the instance).
+    Satisfiability comes from exhaustive assignment enumeration, the answer
+    to h <= 4n from the solver's decision search; when a small witness
+    exists its shape is checked as well (all tips present, one triple member
+    per variable, and the read-off assignment satisfies the instance).
     """
     if cnf.variable_count > max_variables:
         raise TooLarge(
@@ -412,16 +426,16 @@ def equivalence_check(cnf: RestrictedCnf,
             f"of {max_variables}")
     rg = build_reduction(cnf)
     sat = is_satisfiable(cnf, max_variables)
-    result = hull_number_exact(rg.graph, node_budget)
-    h, k = result.hull_number, rg.k
+    k = rg.k
+    decision = hull_number_at_most(rg.graph, k, node_budget)
+    witness = decision.witness or frozenset()
+    found = decision.witness is not None
 
     checks = []
-    equivalent = sat == (h <= k)
     checks.append(CheckResult(
-        "equivalence", equivalent,
-        f"satisfiable={'true' if sat else 'false'} and h{'<=' if h <= k else '>'}k"))
-    if h <= k:
-        witness = result.witness
+        "equivalence", sat == found,
+        f"satisfiable={'true' if sat else 'false'} and h{'<=' if found else '>'}k"))
+    if found:
         tips = rg.designated_simplicial()
         checks.append(CheckResult(
             "witness-simplicial", tips <= witness,
@@ -445,7 +459,9 @@ def equivalence_check(cnf: RestrictedCnf,
             "witness-assignment", ok,
             "assignment read off the witness satisfies the instance" if ok
             else "assignment read off the witness does not satisfy the instance"))
-    return EquivalenceReport(sat, h, k, result.witness, tuple(checks))
+    h = len(witness) if found else k + 1
+    return EquivalenceReport(sat, h, k, witness, tuple(checks),
+                             decision.lower_bound)
 
 
 # -- labels sidecar -----------------------------------------------------------

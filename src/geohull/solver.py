@@ -38,10 +38,29 @@ Every prune removes only branches that hold no solution, so the first
 solution found in this ascending-index depth-first order is the
 lexicographically smallest minimum witness, and the search is sequential,
 so results are deterministic.
+
+The decision search behind ``hull_number_at_most(g, k)`` answers whether
+some hull set has at most k vertices, without finding the minimum.  It
+builds the cores at once from hull(M) and rejects when the root packing
+already exceeds k - |M|.  Otherwise one depth-first search with at most
+k - |M| picks branches on concave cores, the implicit-hitting-set scheme of
+Moreno-Centeno & Karp: at each node it takes the first stored core that
+hull(T) misses, cut to the allowed candidates, and tries each of its
+members in ascending order, forbidding a member for the later siblings
+once its own branch has failed.  Every completion of T must meet that cut
+core, and the completions that hold an earlier member were all tried in
+that member's branch, so the branching is complete.  When hull(T) meets
+every stored core, a new one is grown lazily: hull(T) is extended greedily
+by each allowed candidate that leaves it short of the full set, and the
+complement of that convex set is a concave set missing hull(T), stored for
+the rest of the search.  An empty cut core, or a packing larger than the
+picks left, proves that no completion exists.  Picks inside hull(T) are
+never allowed: dropping one keeps a hull set and only lowers its size.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -55,6 +74,18 @@ from .graph import Graph, mask_members, vertex_mask
 class HullNumberResult:
     hull_number: int
     witness: frozenset[int]
+
+
+@dataclass(frozen=True)
+class HullDecision:
+    """Answer to "is the hull number at most k?".
+
+    ``witness`` is a hull set of at most k vertices, or None when there is
+    none; every hull set has at least ``lower_bound`` vertices.
+    """
+
+    witness: frozenset[int] | None
+    lower_bound: int
 
 
 class _Search:
@@ -101,6 +132,27 @@ class _Search:
                 return HullNumberResult(base_size + extra, witness)
             extra += 1
         raise AssertionError("adding every non-hull vertex must succeed")
+
+    def decide(self, k: int) -> HullDecision:
+        """Some hull set of at most k vertices, found by core branching."""
+        mandatory = vertex_mask(self.g, simplicial_vertices(self.g))
+        base_size = mandatory.bit_count()
+        self.lower_bound = max(base_size, 1)
+        start, start_members = self.close(0, [], mandatory)
+        if start == self.full:
+            picks = () if base_size <= k else None
+        else:
+            allowed = self.full & ~start
+            self.cores = self.concave_cores(start, start_members,
+                                            mask_members(allowed))
+            self.lower_bound = base_size + self.packing(start, allowed)
+            picks = None
+            if self.lower_bound <= k:
+                picks = self.hit(start, start_members, allowed, k - base_size)
+        if picks is None:
+            return HullDecision(None, max(self.lower_bound, k + 1))
+        witness = frozenset(mask_members(mandatory) + list(picks))
+        return HullDecision(witness, self.lower_bound)
 
     def concave_cores(self, start: int, start_members: list[int],
                       candidates: list[int]) -> list[int]:
@@ -187,6 +239,44 @@ class _Search:
                         return (w,) + rest
         return None
 
+    def hit(self, hull: int, members: list[int], allowed: int,
+            remaining: int):
+        """Some at most ``remaining`` picks from ``allowed`` that complete
+        ``hull``, or None; ``allowed`` is disjoint from ``hull``."""
+        need = self.packing(hull, allowed)
+        if need is None or need > remaining:
+            return None
+        core = next((core for core in self.cores if not core & hull), None)
+        if core is None:
+            core = self.grow_core(hull, members, allowed)
+        for w in mask_members(core & allowed):
+            grown, grown_members = self.close(hull, members, 1 << w)
+            if grown == self.full:
+                return (w,)
+            if remaining > 1:
+                rest = self.hit(grown, grown_members, allowed & ~grown,
+                                remaining - 1)
+                if rest is not None:
+                    return (w,) + rest
+            allowed &= ~(1 << w)
+        return None
+
+    def grow_core(self, hull: int, members: list[int], allowed: int) -> int:
+        """A concave set that misses ``hull``, stored among the cores.
+
+        x grows from ``hull`` by each allowed candidate that leaves it short
+        of the full set; x is convex, so its complement is concave.
+        """
+        x = hull
+        for c in mask_members(allowed):
+            if not x >> c & 1:
+                grown, grown_members = self.close(x, members, 1 << c)
+                if grown != self.full:
+                    x, members = grown, grown_members
+        core = self.full & ~x
+        insort(self.cores, core, key=lambda core: (core.bit_count(), core))
+        return core
+
 
 def hull_number_exact(g: Graph, node_budget: int | None = None) -> HullNumberResult:
     """Minimum hull-set size and its lexicographically first witness.
@@ -197,6 +287,18 @@ def hull_number_exact(g: Graph, node_budget: int | None = None) -> HullNumberRes
     if not g.is_connected:
         raise Disconnected("hull number is defined for connected graphs only")
     return _Search(g, node_budget).run()
+
+
+def hull_number_at_most(g: Graph, k: int,
+                        node_budget: int | None = None) -> HullDecision:
+    """Whether some hull set has at most k vertices, with one if so.
+
+    The witness is not necessarily minimum.  ``node_budget`` caps the number
+    of hull evaluations as in ``hull_number_exact``.
+    """
+    if not g.is_connected:
+        raise Disconnected("hull number is defined for connected graphs only")
+    return _Search(g, node_budget).decide(k)
 
 
 def hull_number_bruteforce(g: Graph, max_vertices: int = 14) -> HullNumberResult:

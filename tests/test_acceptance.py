@@ -9,7 +9,8 @@ import random
 import time
 
 from geohull import (Graph, IntervalDependency, assignment_to_hull_set,
-                     build_reduction, chordality, gadget_edges, hull,
+                     build_reduction, chordality, equivalence_check,
+                     gadget_edges, hull,
                      hull_number_bruteforce, hull_number_exact,
                      hull_set_to_assignment, interval, interval_dependencies,
                      is_convex, is_concave, is_hull_set,
@@ -185,3 +186,16 @@ def test_criterion_7_mutation_sensitivity():
         crit.check(not (structure_ok and forward_ok),
                    f"deleting edge {victim} goes unnoticed")
     crit.finish("each of the 26 gadget edge deletions is detected")
+
+
+def test_criterion_8_equivalence_reach():
+    crit = Criterion("criterion-8 equivalence reach", budget_seconds=10.0)
+    report = equivalence_check(random_restricted_cnf(7, 0))
+    crit.check(report.passed, f"n=7 seed 0: {report.lines()}")
+    crit.check(report.lines()[1] == "h>=29",
+               f"n=7 seed 0 reports {report.lines()[1]}, expected h>=29")
+    for n in range(5, 13):
+        for seed in range(4):
+            report = equivalence_check(random_restricted_cnf(n, seed))
+            crit.check(report.passed, f"n={n} seed {seed}: {report.lines()}")
+    crit.finish("n=7 seed 0 h>=29; 32 instances, n in 5..12, seeds 0..3")

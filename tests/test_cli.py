@@ -176,6 +176,29 @@ def test_negative_cnf_count_is_input_error(tmp_path, capsys, command):
     assert code == 2
 
 
+def test_hostile_cnf_header_is_rejected_before_allocation(tmp_path, capsys,
+                                                          monkeypatch):
+    # One claimed variable without clauses must not cost per-variable lists:
+    # a regression raises here instead of allocating a billion of them.
+    import geohull.cnf as cnf_module
+
+    def refuse(cnf):
+        raise AssertionError("per-variable occurrence lists were built")
+
+    monkeypatch.setattr(cnf_module, "_occurrences", refuse)
+    text = "p cnf 1000000000 0\n"
+    assert cnf_module.validate_restricted(cnf_module.parse_dimacs(text)) == [
+        "variable count 1000000000 > clause count 0: 3n occurrences need n <= m"]
+    path = tmp_path / "huge.cnf"
+    path.write_text(text)
+    code, _ = invoke(capsys, "reduce", "--cnf", str(path),
+                     "--out-graph", str(tmp_path / "huge.g"),
+                     "--out-labels", str(tmp_path / "huge.labels"))
+    assert code == 3
+    code, _ = invoke(capsys, "verify-reduction", "--cnf", str(path))
+    assert code == 3
+
+
 def test_bad_set_is_input_error(capsys, fig2_file):
     code, _ = invoke(capsys, "hull", "--graph", fig2_file, "--set", "0,x")
     assert code == 2

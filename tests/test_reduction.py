@@ -2,8 +2,8 @@ from itertools import product
 
 import pytest
 
-from geohull import (Graph, InvalidInstance, NotAWitness, TooLarge,
-                     assignment_to_hull_set, build_reduction,
+from geohull import (EquivalenceReport, Graph, InvalidInstance, NotAWitness,
+                     TooLarge, assignment_to_hull_set, build_reduction,
                      equivalence_check, format_labels, gadget_edges, hull,
                      hull_number_exact, hull_set_to_assignment,
                      induced_assignment, interval, is_clique, is_hull_set,
@@ -178,6 +178,21 @@ def test_equivalence_tiny(tiny_cnf):
     assert not report.satisfiable
     assert report.hull_number == 5
     assert report.k == 4
+    assert report.lines()[1] == "h>=5"
+    assert report.witness == frozenset()
+    assert report.lower_bound == 5
+
+
+def test_equivalence_report_h_line():
+    def h_line(hull_number, lower_bound):
+        report = EquivalenceReport(True, hull_number, 12, frozenset(), (),
+                                   lower_bound)
+        return report.lines()[1]
+
+    assert h_line(12, 12) == "h=12"
+    assert h_line(12, 11) == "h<=12"
+    assert h_line(13, 13) == "h>=13"
+    assert h_line(13, 14) == "h>=13"
 
 
 def test_equivalence_rejects(tiny_cnf, sample_cnf):

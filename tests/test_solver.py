@@ -4,8 +4,9 @@ from itertools import combinations
 import pytest
 
 from geohull import (BudgetExceeded, Disconnected, TooLarge, build_graph,
+                     build_reduction, hull_number_at_most,
                      hull_number_bruteforce, hull_number_exact, is_concave,
-                     is_hull_set, simplicial_vertices)
+                     is_hull_set, random_restricted_cnf, simplicial_vertices)
 from geohull.graph import mask_members, vertex_mask
 from geohull.solver import _Search
 from helpers import random_connected_graph
@@ -155,3 +156,70 @@ def test_core_bound_agrees_with_oracle(sample_reduction):
     # The n variable triples are disjoint concave sets.
     _, bound = root_cores(sample_reduction.graph)
     assert bound == sample_reduction.variable_count == 3
+
+
+# -- decision search ------------------------------------------------------------
+
+def check_decisions(g, h, budgets=()):
+    """``hull_number_at_most`` against the known hull number h, k = 0..h+1."""
+    for k in range(h + 2):
+        decision = hull_number_at_most(g, k)
+        assert (decision.witness is not None) == (h <= k), k
+        if decision.witness is None:
+            assert k < decision.lower_bound <= h
+        else:
+            assert len(decision.witness) <= k
+            assert is_hull_set(g, decision.witness)
+            assert decision.lower_bound <= h
+        for budget in budgets:
+            try:
+                hull_number_at_most(g, k, node_budget=budget)
+            except BudgetExceeded as exc:
+                assert 1 <= exc.lower_bound <= h
+                assert exc.evaluations == budget + 1
+
+
+def test_decision_agrees_with_oracle_random():
+    rng = random.Random(61)
+    for _ in range(150):
+        g = random_connected_graph(rng, max_vertices=11)
+        check_decisions(g, hull_number_bruteforce(g).hull_number,
+                        budgets=(1, 2, 3, 5, 8, 13))
+
+
+def test_decision_on_reductions(sample_reduction, tiny_reduction):
+    for rg, h in ((sample_reduction, 12), (tiny_reduction, 5)):
+        assert hull_number_exact(rg.graph).hull_number == h
+        check_decisions(rg.graph, h, budgets=(1, 10, 100, 1000))
+
+
+def test_decision_agrees_on_criterion_3_seeds():
+    for seed in range(50):
+        rg = build_reduction(random_restricted_cnf(seed % 5 + 1, seed))
+        check_decisions(rg.graph, hull_number_exact(rg.graph).hull_number)
+
+
+def test_decision_rejects_disconnected():
+    with pytest.raises(Disconnected):
+        hull_number_at_most(build_graph(3, [(0, 1)]), 3)
+
+
+# 16 vertices, h = 3, no simplicial vertex: proving h > 2 needs branching.
+BRANCHING_EDGES = [
+    (0, 8), (0, 11), (0, 13), (1, 10), (1, 13), (1, 15), (2, 3), (2, 5),
+    (2, 11), (2, 12), (2, 13), (3, 5), (3, 6), (3, 11), (4, 10), (4, 12),
+    (4, 14), (5, 7), (5, 11), (5, 12), (5, 14), (6, 9), (6, 14), (7, 8),
+    (7, 11), (8, 12), (8, 13), (8, 15), (9, 12), (9, 14), (9, 15), (10, 12),
+    (12, 14), (12, 15)]
+
+
+def test_decision_search_work():
+    # An exact count of hull evaluations: each set of picks is reached at
+    # most once because a failed sibling stays forbidden and every core is
+    # cut to the allowed vertices.  Re-searching a sibling, or branching on
+    # a forbidden vertex, costs more evaluations here.
+    g = build_graph(16, BRANCHING_EDGES)
+    assert hull_number_bruteforce(g, max_vertices=16).hull_number == 3
+    assert hull_number_at_most(g, 2, node_budget=139).witness is None
+    with pytest.raises(BudgetExceeded):
+        hull_number_at_most(g, 2, node_budget=138)
