@@ -85,23 +85,24 @@ def is_convex(g: Graph, vertices: Iterable[int]) -> bool:
 def is_concave(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff the set avoids the interval of every outside vertex pair.
 
-    Equivalent to the complement being convex.  Read off the distance
-    layers without the betweenness table: for s in the set and u outside
-    it at distance t, the v with s on a shortest u-v path are the union
-    over j >= 1 of L_j(s) & L_{t+j}(u), and none of them may lie outside.
+    Equivalent to the complement being convex.  Tested on the boundary
+    edges, from the distance layers alone: S is concave exactly when, for
+    every edge sw with s in S and w outside, every vertex strictly closer
+    to s than to w lies in S.  Those vertices are the union over k of
+    L_k(s) & L_{k+1}(w).  If such a vertex u lay outside, s would sit on a
+    shortest u-w path.  Conversely, let s' in S lie on a shortest u-v path
+    with u, v outside; walking from s' toward v, the path leaves S along
+    some edge sw, and u is strictly closer to s than to w because s comes
+    first on a shortest path from u.
     """
     mask = vertex_mask(g, vertices)
     layers = g.distance_layers()
-    dist = g.distances()
     outside = g.full_mask & ~mask
-    others = [u for u in range(g.vertex_count) if not mask >> u & 1]
     for s in mask_members(mask):
-        # Pairs L_j(s) minus the set with L_{d(u,s)+j}(u), for j = 1, 2, ...
-        beyond = [layer & outside for layer in layers[s][1:]]
-        ds = dist[s]
-        for u in others:
-            for near, far in zip(beyond, layers[u][ds[u] + 1:]):
-                if near & far:
+        near = layers[s]
+        for w in mask_members(g.adjacency_mask(s) & outside):
+            for ring, farther in zip(near, layers[w][1:]):
+                if ring & farther & outside:
                     return False
     return True
 

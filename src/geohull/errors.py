@@ -26,7 +26,9 @@ class NotAWitness(GeohullError):
 
 
 class TooLarge(GeohullError):
-    """Instance exceeds the cap for exhaustive enumeration."""
+    """Input exceeds a size cap: the cap of an exhaustive enumeration
+    (assignments, or subsets in the brute-force hull search) or the vertex
+    cap of the graph text format."""
 
 
 class ParseError(GeohullError):

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .errors import Disconnected, InvalidEdge, ParseError
+from .errors import Disconnected, InvalidEdge, ParseError, TooLarge
+
+# Largest vertex count parse_graph accepts.  A header is checked against it
+# before any per-vertex allocation, so a hostile one cannot exhaust memory.
+MAX_VERTICES = 1 << 16
 
 
 # The set bit positions of every byte value.
@@ -268,12 +272,12 @@ def eccentricity(g: Graph, v: int) -> int:
     """Largest distance from v to any vertex."""
     if not 0 <= v < g.vertex_count:
         raise ValueError(f"vertex {v} out of range")
-    return max(g.distances()[v])
+    return len(g.distance_layers()[v]) - 1
 
 
 def diameter(g: Graph) -> int:
     """Largest distance between any two vertices."""
-    return max(max(row) for row in g.distances())
+    return max(map(len, g.distance_layers())) - 1
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
@@ -294,7 +298,10 @@ def format_graph(g: Graph) -> str:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the graph text format; inverse of format_graph up to normalization."""
+    """Parse the graph text format; inverse of format_graph up to normalization.
+
+    Raises TooLarge when the header claims more than MAX_VERTICES vertices.
+    """
     rows = [line.strip() for line in text.splitlines()]
     rows = [line for line in rows if line and not line.startswith("#")]
     if not rows:
@@ -308,6 +315,9 @@ def parse_graph(text: str) -> Graph:
         raise ParseError(f"bad header line: {rows[0]!r}") from exc
     if vertex_count < 0:
         raise ParseError(f"negative vertex count: {rows[0]!r}")
+    if vertex_count > MAX_VERTICES:
+        raise TooLarge(f"vertex count {vertex_count} exceeds the cap of "
+                       f"{MAX_VERTICES}")
     if len(rows) - 1 != edge_count:
         raise ParseError(
             f"expected {edge_count} edge lines, found {len(rows) - 1}")

@@ -276,8 +276,17 @@ class StructureReport:
         return "\n".join(self.lines())
 
 
+def _layer_distance(layers: tuple[tuple[int, ...], ...], u: int, v: int) -> int:
+    """d(u, v): the index of u's distance layer that holds v."""
+    return next(k for k, layer in enumerate(layers[u]) if layer >> v & 1)
+
+
 def verify_structure(rg: ReductionGraph) -> StructureReport:
-    """Run the nine structural checks the construction promises."""
+    """Run the nine structural checks the construction promises.
+
+    Every check reads the graph's distance layers or its adjacency; neither
+    the distance matrix nor the betweenness table is built.
+    """
     checks = []
 
     def record(name: str, fn):
@@ -296,23 +305,23 @@ def verify_structure(rg: ReductionGraph) -> StructureReport:
             f"{g.vertex_count} vertices, expected {BLOCK_SIZE}n+m = {expected}"
 
     def check_diameter():
-        d = max(max(row) for row in g.distances())
+        d = max(len(row) for row in g.distance_layers()) - 1
         return d == 3, f"diameter {d}, expected 3"
 
     def check_hub_eccentricity():
-        dist = g.distances()
-        bad = [v for v in sorted(rg.hub_vertices()) if max(dist[v]) != 2]
+        layers = g.distance_layers()
+        bad = [v for v in sorted(rg.hub_vertices()) if len(layers[v]) - 1 != 2]
         return not bad, ("all hub vertices have eccentricity 2" if not bad
                          else f"hub vertices with eccentricity != 2: {bad}")
 
     def check_cross_distances():
-        dist = g.distances()
+        layers = g.distance_layers()
         bad = []
         for i in range(1, n + 1):
-            if dist[rg.vertex("x", i)][rg.vertex("xbarp", i)] != 3:
-                bad.append(("x", "xbarp", i))
-            if dist[rg.vertex("xbar", i)][rg.vertex("xp1", i)] != 3:
-                bad.append(("xbar", "xp1", i))
+            for p, q in (("x", "xbarp"), ("xbar", "xp1")):
+                d = _layer_distance(layers, rg.vertex(p, i), rg.vertex(q, i))
+                if d != 3:
+                    bad.append((p, q, i))
         return not bad, ("dist(x_i, xbarp_i) = dist(xbar_i, xp1_i) = 3 for all i"
                          if not bad else f"pairs at wrong distance: {bad}")
 
@@ -342,17 +351,19 @@ def verify_structure(rg: ReductionGraph) -> StructureReport:
                          else f"non-concave regions for clauses: {bad}")
 
     def check_dependencies():
-        dist = g.distances()
+        layers = g.distance_layers()
         broken = []
         for i, clauses in enumerate(rg.occurrences, start=1):
             at = {key: rg.clause_vertex(j + 1)
                   for key, j in zip(("c_a", "c_b", "c_c"), clauses)}
             at.update((kind, rg.vertex(kind, i)) for kind in ROLE_ORDER)
             for (p, q), recovered in GADGET_DEPENDENCIES:
-                du, dv = dist[at[p]], dist[at[q]]
+                u, v = at[p], at[q]
+                duv = _layer_distance(layers, u, v)
                 for kind in recovered:
                     w = at[kind]
-                    if du[w] + dv[w] != du[at[q]]:
+                    if (_layer_distance(layers, u, w)
+                            + _layer_distance(layers, v, w) != duv):
                         broken.append(f"variable {i}: {kind} is not in the "
                                       f"interval of {{{p}, {q}}}")
         total = n * sum(len(recovered) for _, recovered in GADGET_DEPENDENCIES)

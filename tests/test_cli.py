@@ -1,6 +1,6 @@
 import pytest
 
-from geohull import format_labels, parse_graph
+from geohull import TooLarge, format_labels, parse_graph
 from geohull.cli import run
 
 FIG2_TEXT = "5 6\n0 1\n1 2\n1 3\n2 3\n2 4\n3 4\n"
@@ -196,6 +196,27 @@ def test_hostile_cnf_header_is_rejected_before_allocation(tmp_path, capsys,
                      "--out-labels", str(tmp_path / "huge.labels"))
     assert code == 3
     code, _ = invoke(capsys, "verify-reduction", "--cnf", str(path))
+    assert code == 3
+
+
+def test_hostile_graph_header_is_rejected_before_allocation(tmp_path, capsys,
+                                                            monkeypatch):
+    # A graph is never built from a header over the cap: a regression raises
+    # here instead of allocating a billion adjacency sets.
+    import geohull.graph as graph_module
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(graph_module.Graph, "__init__", refuse)
+    cap = graph_module.MAX_VERTICES
+    with pytest.raises(TooLarge):
+        parse_graph(f"{cap + 1} 0\n")
+    with pytest.raises(AssertionError, match="a graph was built"):
+        parse_graph(f"{cap} 0\n")
+    path = tmp_path / "huge.g"
+    path.write_text("1000000000 0\n")
+    code, _ = invoke(capsys, "hull", "--graph", str(path), "--set", "0")
     assert code == 3
 
 

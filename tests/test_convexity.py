@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geohull import (Disconnected, IntervalDependency, build_graph, hull,
-                     interval, interval_dependencies, is_concave, is_convex,
-                     is_hull_set)
+from geohull import (Disconnected, Graph, IntervalDependency, build_graph,
+                     gadget_edges, hull, interval, interval_dependencies,
+                     is_concave, is_convex, is_hull_set, with_graph)
 from helpers import (hull_oracle, interval_oracle, random_connected_graph,
                      random_subset)
 
@@ -129,6 +129,27 @@ def test_concave_iff_complement_convex_on_sample_reduction(sample_reduction):
     for _ in range(40):
         s = random_subset(rng, everything)
         assert is_concave(g, s) == is_convex(g, everything - s)
+
+
+def test_concave_iff_complement_convex_on_gadget_edge_deletions(
+        sample_reduction):
+    # Each deletion moves distances next to a gadget's boundary edges, where
+    # is_concave looks; the complement's convexity is the independent route.
+    rg = sample_reduction
+    everything = set(range(rg.graph.vertex_count))
+    edges = gadget_edges(rg, 1)
+    assert len(edges) == 26
+    for victim in edges:
+        remaining = [e for e in rg.graph.edges if e != victim]
+        mutant = with_graph(rg, Graph(rg.graph.vertex_count, remaining))
+        g = mutant.graph
+        gadget_sets = [mutant.variable_triple(i)
+                       for i in range(1, mutant.variable_count + 1)]
+        gadget_sets += [mutant.clause_region(j)
+                        for j in range(1, mutant.clause_count + 1)]
+        for s in gadget_sets:
+            assert is_concave(g, s) == is_convex(g, everything - set(s)), \
+                (victim, sorted(s))
 
 
 # -- property tests -----------------------------------------------------------

@@ -110,6 +110,16 @@ def test_diameter_is_max_eccentricity():
                                   for v in range(g.vertex_count))
 
 
+def test_eccentricity_and_diameter_match_bfs_levels():
+    rng = random.Random(41)
+    for _ in range(40):
+        g = random_connected_graph(rng, max_vertices=12)
+        levels = [bfs_levels(g, v) for v in range(g.vertex_count)]
+        for v in range(g.vertex_count):
+            assert eccentricity(g, v) == max(levels[v])
+        assert diameter(g) == max(max(row) for row in levels)
+
+
 def test_distance_matrix_invariants_on_random_graphs():
     rng = random.Random(11)
     for _ in range(40):

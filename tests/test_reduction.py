@@ -230,6 +230,10 @@ def _refuse_between_table(self):
     raise AssertionError("the betweenness table was built")
 
 
+def _refuse_distances(self):
+    raise AssertionError("the distance matrix was built")
+
+
 def test_verify_structure_never_builds_the_betweenness_table(
         sample_reduction, monkeypatch):
     rg = sample_reduction
@@ -240,9 +244,20 @@ def test_verify_structure_never_builds_the_betweenness_table(
     assert len(report.checks) == 9
 
 
+def test_verify_structure_never_builds_the_distance_matrix(
+        sample_reduction, monkeypatch):
+    rg = sample_reduction
+    monkeypatch.setattr(Graph, "distances", _refuse_distances)
+    fresh = Graph(rg.graph.vertex_count, rg.graph.edges, rg.graph.vertex_names)
+    report = verify_structure(with_graph(rg, fresh))
+    assert report.passed
+    assert len(report.checks) == 9
+
+
 def test_disconnected_mutant_gives_fail_lines(sample_reduction, monkeypatch):
     rg = sample_reduction
     monkeypatch.setattr(Graph, "between_table", _refuse_between_table)
+    monkeypatch.setattr(Graph, "distances", _refuse_distances)
     isolated = rg.vertex("xbarpp", 1)
     edges = [e for e in rg.graph.edges if isolated not in e]
     report = verify_structure(with_graph(rg, Graph(rg.graph.vertex_count, edges)))
