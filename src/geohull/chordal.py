@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import InvalidOrdering
-from .graph import Graph, _is_clique_mask
+from .graph import Graph, _is_clique_mask, mask_members
 
 
 def is_simplicial(g: Graph, v: int) -> bool:
@@ -41,17 +41,16 @@ def chordality(g: Graph) -> Optional[tuple[int, ...]]:
     """
     n = g.vertex_count
     weight = [0] * n
-    visited = [False] * n
+    unvisited = g.full_mask
     visit_order = []
     for _ in range(n):
-        best = -1
-        for v in range(n):
-            if not visited[v] and (best < 0 or weight[v] > weight[best]):
-                best = v
-        visited[best] = True
+        # index finds the first of equal weights: the smallest vertex.
+        best = weight.index(max(weight))
+        # Unvisited weights never drop below 0, so best is never picked again.
+        weight[best] = -1
+        unvisited ^= 1 << best
         visit_order.append(best)
-        for w in g.neighbors(best):
-            if not visited[w]:
-                weight[w] += 1
+        for w in mask_members(g.adjacency_mask(best) & unvisited):
+            weight[w] += 1
     peo = tuple(reversed(visit_order))
     return peo if is_perfect_elimination_ordering(g, peo) else None

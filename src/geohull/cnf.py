@@ -141,6 +141,8 @@ def parse_dimacs(text: str) -> RestrictedCnf:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if variable_count is not None:
+                raise ParseError(f"duplicate problem line: {line!r}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"bad problem line: {line!r}")

@@ -18,20 +18,23 @@ _BYTE_BITS = tuple(tuple(b for b in range(8) if x >> b & 1) for x in range(256))
 class Graph:
     """Undirected simple graph on vertices ``0 .. vertex_count-1``.
 
-    Instances are immutable after construction.  Derived data is computed
-    lazily, cached on the instance, and identical no matter which thread
-    asks first, so graphs are safe to share without locking: the BFS
+    Instances are immutable after construction.  The constructor builds
+    only the adjacency bitmasks (bit w of mask v is set when vw is an
+    edge); everything else is derived from them on first use, cached on
+    the instance, and identical no matter which thread asks first, so
+    graphs are safe to share without locking: the edge tuple, the BFS
     distance layers (per vertex, one bitmask of the vertices at each
     distance), the distance matrix read off them, and the per-pair
-    betweenness table built by intersecting them.  Adjacency bitmasks are
-    built eagerly.
+    betweenness table built by intersecting them.  Neighbour sets are
+    built from the masks on each call.
 
-    Edges are normalized to ``(min, max)`` pairs and stored sorted, which
-    makes structural equality and the text format byte-stable.
+    Edges read as ``(min, max)`` pairs in sorted order whatever order and
+    orientation they were given in, which makes structural equality and
+    the text format byte-stable.
     """
 
-    __slots__ = ("vertex_count", "edges", "vertex_names",
-                 "_adj", "_adj_mask", "_layers", "_dist", "_between",
+    __slots__ = ("vertex_count", "vertex_names",
+                 "_adj_mask", "_edges", "_layers", "_dist", "_between",
                  "_connected")
 
     def __init__(self, vertex_count: int,
@@ -39,27 +42,19 @@ class Graph:
                  vertex_names: Mapping[int, str] | None = None):
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        normalized: set[tuple[int, int]] = set()
+        masks = [0] * vertex_count
         for u, v in edge_list:
             if u == v:
                 raise InvalidEdge(f"self-loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise InvalidEdge(
                     f"edge ({u},{v}) out of range for {vertex_count} vertices")
-            normalized.add((u, v) if u < v else (v, u))
-        self.vertex_count = vertex_count
-        self.edges = tuple(sorted(normalized))
-        self.vertex_names = dict(vertex_names) if vertex_names else {}
-
-        adj: list[set[int]] = [set() for _ in range(vertex_count)]
-        masks = [0] * vertex_count
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self._adj = tuple(frozenset(s) for s in adj)
+        self.vertex_count = vertex_count
+        self.vertex_names = dict(vertex_names) if vertex_names else {}
         self._adj_mask = tuple(masks)
+        self._edges: tuple[tuple[int, int], ...] | None = None
         self._layers: tuple[tuple[int, ...], ...] | None = None
         self._dist: tuple[tuple[int, ...], ...] | None = None
         self._between: list[list[int]] | None = None
@@ -68,8 +63,20 @@ class Graph:
     # -- basic queries ----------------------------------------------------
 
     @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge as a ``(min, max)`` pair, sorted; read off the upper
+        triangle of the adjacency masks on first use."""
+        if self._edges is None:
+            edges = []
+            for u, mask in enumerate(self._adj_mask):
+                above = u + 1
+                edges.extend((u, above + w) for w in mask_members(mask >> above))
+            self._edges = tuple(edges)
+        return self._edges
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(mask.bit_count() for mask in self._adj_mask) // 2
 
     @property
     def full_mask(self) -> int:
@@ -77,13 +84,13 @@ class Graph:
         return (1 << self.vertex_count) - 1
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        return frozenset(mask_members(self._adj_mask[v]))
 
     def adjacency_mask(self, v: int) -> int:
         return self._adj_mask[v]
 
     def adjacent(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return v >= 0 and bool(self._adj_mask[u] >> v & 1)
 
     def name(self, v: int) -> str:
         return self.vertex_names.get(v, str(v))
@@ -97,6 +104,7 @@ class Graph:
         balls into u's, and what is new is u's next layer.  A source drops
         out once its ball stops growing.
         """
+        neighbours = [mask_members(mask) for mask in self._adj_mask]
         balls = [1 << u for u in range(self.vertex_count)]
         layers = [[ball] for ball in balls]
         growing = range(self.vertex_count)
@@ -105,7 +113,7 @@ class Graph:
             still = []
             for u in growing:
                 ball = previous[u]
-                for w in self._adj[u]:
+                for w in neighbours[u]:
                     ball |= previous[w]
                 if ball != previous[u]:
                     layers[u].append(ball ^ previous[u])
@@ -190,13 +198,14 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.vertex_count, self.edges) == (other.vertex_count, other.edges)
+        return ((self.vertex_count, self._adj_mask)
+                == (other.vertex_count, other._adj_mask))
 
     def __hash__(self) -> int:
-        return hash((self.vertex_count, self.edges))
+        return hash((self.vertex_count, self._adj_mask))
 
     def __repr__(self) -> str:
-        return f"Graph({self.vertex_count} vertices, {len(self.edges)} edges)"
+        return f"Graph({self.vertex_count} vertices, {self.edge_count} edges)"
 
 
 # -- vertex-set helpers ---------------------------------------------------
@@ -222,10 +231,18 @@ def mask_members(mask: int) -> list[int]:
 
 
 def _is_clique_mask(g: Graph, mask: int) -> bool:
+    """True iff every two members of mask are adjacent.
+
+    Walks the members lowest first and stops at the first one that misses
+    another, so a large neighbourhood that is no clique costs little.
+    """
     adj = g._adj_mask
-    for u in mask_members(mask):
-        if mask & ~(adj[u] | (1 << u)):
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if mask & ~(adj[low.bit_length() - 1] | low):
             return False
+        rest ^= low
     return True
 
 

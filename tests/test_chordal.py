@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from geohull import (InvalidOrdering, build_graph, chordality,
+from geohull import (InvalidOrdering, build_graph, chordality, is_clique,
                      is_perfect_elimination_ordering, is_simplicial,
                      simplicial_vertices)
 from helpers import has_induced_cycle_at_least_4, random_graph
@@ -101,3 +101,39 @@ def test_chordality_matches_induced_cycle_oracle():
         assert (peo is not None) == expected_chordal
         if peo is not None:
             assert is_perfect_elimination_ordering(g, peo)
+
+
+def _pairwise_clique(g, vertices):
+    return all(g.adjacent(a, b) for a, b in combinations(vertices, 2))
+
+
+def test_clique_walks_match_pairwise_oracle():
+    rng = random.Random(43)
+    outcomes = {"clique": set(), "simplicial": set(), "peo": set()}
+    for _ in range(150):
+        g = random_graph(rng, max_vertices=12)
+        n = g.vertex_count
+        closed = [[w for w in range(n) if w == v or g.adjacent(v, w)]
+                  for v in range(n)]
+        # Subsets of closed neighbourhoods are cliques far more often than
+        # arbitrary subsets, so both answers turn up.
+        subsets = [[v for v in range(n) if rng.random() < 0.5]]
+        subsets += [[w for w in row if rng.random() < 0.7] for row in closed]
+        for subset in subsets:
+            expected = _pairwise_clique(g, subset)
+            assert is_clique(g, subset) == expected
+            outcomes["clique"].add(expected)
+        expected = {v for v in range(n)
+                    if _pairwise_clique(g, [w for w in closed[v] if w != v])}
+        assert simplicial_vertices(g) == expected
+        outcomes["simplicial"].add(expected == set(range(n)))
+        orders = [chordality(g) or tuple(range(n))]
+        orders += [tuple(rng.sample(range(n), n)) for _ in range(4)]
+        for order in orders:
+            expected = all(
+                _pairwise_clique(g, [w for w in order[i + 1:]
+                                     if g.adjacent(v, w)])
+                for i, v in enumerate(order))
+            assert is_perfect_elimination_ordering(g, order) == expected
+            outcomes["peo"].add(expected)
+    assert all(seen == {False, True} for seen in outcomes.values())

@@ -176,6 +176,17 @@ def test_negative_cnf_count_is_input_error(tmp_path, capsys, command):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["equiv", "verify-reduction"])
+def test_duplicate_problem_line_is_input_error(tmp_path, capsys, command):
+    # Were the second header to replace the first, equiv would read a
+    # one-variable instance and exit 3 on its occurrence violations.
+    path = tmp_path / "twice.cnf"
+    path.write_text("p cnf 3 1\n3 0\np cnf 1 1\n")
+    code = run([command, "--cnf", str(path)])
+    assert code == 2
+    assert "duplicate problem line" in capsys.readouterr().err
+
+
 def test_hostile_cnf_header_is_rejected_before_allocation(tmp_path, capsys,
                                                           monkeypatch):
     # One claimed variable without clauses must not cost per-variable lists:

@@ -113,6 +113,8 @@ def test_format_dimacs_sorted(sample_cnf):
     "p cnf 1 1\n1 y 0\n",
     "p cnf -1 0\n",
     "p cnf 1 -1\n",
+    "p cnf 1 2\n1 0\np cnf 1 1\n",
+    "p cnf 3 1\n3 0\np cnf 1 1\n",
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):

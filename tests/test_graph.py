@@ -3,9 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from geohull import (Disconnected, InvalidEdge, ParseError, build_graph,
-                     diameter, distance_matrix, eccentricity, format_graph,
-                     is_clique, parse_graph)
+from geohull import (Disconnected, Graph, InvalidEdge, ParseError,
+                     build_graph, build_reduction, diameter, distance_matrix,
+                     eccentricity, format_graph, is_clique, parse_graph,
+                     verify_structure)
 from helpers import (bfs_levels, interval_oracle, path_enumeration_distance,
                      random_connected_graph)
 
@@ -37,6 +38,74 @@ def test_out_of_range_endpoint_rejected():
         build_graph(2, [(0, 2)])
     with pytest.raises(InvalidEdge):
         build_graph(3, [(-1, 1)])
+
+
+def _messy_edge_list(rng, n):
+    """Random edges given with duplicates, both orientations and no order,
+    among a random part of the vertices, so the rest are isolated."""
+    live = sorted(rng.sample(range(n), rng.randint(0, n)))
+    p = rng.uniform(0.05, 0.6)
+    pairs = [(u, v) for u, v in combinations(live, 2) if rng.random() < p]
+    given = []
+    for u, v in pairs:
+        for _ in range(rng.randint(1, 3)):
+            given.append((u, v) if rng.random() < 0.5 else (v, u))
+    rng.shuffle(given)
+    return given
+
+
+def test_construction_matches_normalized_set_oracle():
+    rng = random.Random(17)
+    cases = [(0, [])]
+    # Up to 70 vertices, so masks span more than one machine word.
+    cases += [(n, _messy_edge_list(rng, n))
+              for n in [rng.randint(1, 70) for _ in range(60)]]
+    for n, given in cases:
+        normalized = {(min(u, v), max(u, v)) for u, v in given}
+        g = build_graph(n, given)
+        assert g.edges == tuple(sorted(normalized))
+        assert g.edge_count == len(normalized)
+        assert format_graph(g) == "".join(
+            [f"{n} {len(normalized)}\n"]
+            + [f"{u} {v}\n" for u, v in sorted(normalized)])
+        for u in range(n):
+            expected = {v for v in range(n)
+                        if (min(u, v), max(u, v)) in normalized}
+            assert g.neighbors(u) == frozenset(expected)
+            assert isinstance(g.neighbors(u), frozenset)
+            for v in range(-1, n + 1):
+                assert g.adjacent(u, v) == (v in expected)
+        same = build_graph(n, sorted(normalized))
+        assert g == same and hash(g) == hash(same)
+        if normalized:
+            fewer = build_graph(n, sorted(normalized)[1:])
+            assert g != fewer
+        assert g != build_graph(n + 1, given)
+
+
+def test_invalid_edge_names_the_first_bad_pair():
+    cases = [
+        ([(0, 1), (2, 2), (0, 5)], "self-loop at vertex 2"),
+        ([(0, 1), (0, 5), (2, 2)], "edge (0,5) out of range for 3 vertices"),
+        ([(1, 0), (-1, 2), (4, 4)], "edge (-1,2) out of range for 3 vertices"),
+        ([(7, 7)], "self-loop at vertex 7"),
+    ]
+    for given, message in cases:
+        with pytest.raises(InvalidEdge) as info:
+            build_graph(3, given)
+        assert str(info.value) == message
+
+
+def _refuse_edges(self):
+    raise AssertionError("the edge tuple was built")
+
+
+def test_structural_verifier_never_builds_the_edge_tuple(sample_cnf,
+                                                         monkeypatch):
+    monkeypatch.setattr(Graph, "edges", property(_refuse_edges))
+    report = verify_structure(build_reduction(sample_cnf))
+    assert report.passed
+    assert len(report.checks) == 9
 
 
 def test_equality_ignores_edge_order():
