@@ -5,16 +5,18 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import InvalidOrdering
-from .graph import Graph, _is_clique_mask, mask_members
+from .graph import Graph, _check_vertex, _is_clique_mask, mask_members
 
 
 def is_simplicial(g: Graph, v: int) -> bool:
     """True iff the neighborhood of v is a clique."""
+    _check_vertex(g, v)
     return _is_clique_mask(g, g.adjacency_mask(v))
 
 
 def simplicial_vertices(g: Graph) -> frozenset[int]:
-    return frozenset(v for v in range(g.vertex_count) if is_simplicial(g, v))
+    return frozenset(v for v in range(g.vertex_count)
+                     if _is_clique_mask(g, g.adjacency_mask(v)))
 
 
 def is_perfect_elimination_ordering(g: Graph, order: Iterable[int]) -> bool:

@@ -25,6 +25,17 @@ _BUDGET_HELP = ("cap on hull evaluations for the {} search, "
                 "counting those spent building its concave cores")
 
 
+def _budget(text: str) -> int:
+    """``--budget`` value: a count of hull evaluations, so nonnegative."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {budget}")
+    return budget
+
+
 def _load_graph(path: str) -> graphmod.Graph:
     with open(path, "r", encoding="utf-8") as handle:
         return graphmod.parse_graph(handle.read())
@@ -70,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = graph_cmd("hullnum", "minimum hull-set size and witness")
     p.add_argument("--oracle", action="store_true",
                    help="use the brute-force subset search instead")
-    p.add_argument("--budget", type=int, default=None, metavar="N",
+    p.add_argument("--budget", type=_budget, default=None, metavar="N",
                    help=_BUDGET_HELP.format("exact"))
     graph_cmd("simplicial", "vertices whose neighborhood is a clique")
     graph_cmd("chordal", "perfect elimination ordering, when one exists")
@@ -88,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv",
                        help="check satisfiable <=> hull number <= 4n")
     p.add_argument("--cnf", required=True, metavar="FILE")
-    p.add_argument("--budget", type=int, default=None, metavar="N",
+    p.add_argument("--budget", type=_budget, default=None, metavar="N",
                    help=_BUDGET_HELP.format("h <= 4n decision"))
 
     p = sub.add_parser("fixture", help="emit a built-in example graph")

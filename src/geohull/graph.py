@@ -84,13 +84,18 @@ class Graph:
         return (1 << self.vertex_count) - 1
 
     def neighbors(self, v: int) -> frozenset[int]:
+        _check_vertex(self, v)
         return frozenset(mask_members(self._adj_mask[v]))
 
     def adjacency_mask(self, v: int) -> int:
+        """Neighbours of v as a bitmask.  The inner-loop accessor, so v is
+        not range-checked: the caller must pass 0 <= v < vertex_count."""
         return self._adj_mask[v]
 
     def adjacent(self, u: int, v: int) -> bool:
-        return v >= 0 and bool(self._adj_mask[u] >> v & 1)
+        """False, not an error, when either endpoint is out of range."""
+        return (0 <= u < self.vertex_count and v >= 0
+                and bool(self._adj_mask[u] >> v & 1))
 
     def name(self, v: int) -> str:
         return self.vertex_names.get(v, str(v))
@@ -210,6 +215,12 @@ class Graph:
 
 # -- vertex-set helpers ---------------------------------------------------
 
+def _check_vertex(g: Graph, v: int) -> None:
+    """ValueError unless v is a vertex of g."""
+    if not 0 <= v < g.vertex_count:
+        raise ValueError(f"vertex {v} out of range for {g.vertex_count} vertices")
+
+
 def vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
     """Fold a vertex collection into a bitmask, validating the indices."""
     mask = 0
@@ -287,8 +298,7 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
 
 def eccentricity(g: Graph, v: int) -> int:
     """Largest distance from v to any vertex."""
-    if not 0 <= v < g.vertex_count:
-        raise ValueError(f"vertex {v} out of range")
+    _check_vertex(g, v)
     return len(g.distance_layers()[v]) - 1
 
 

@@ -81,7 +81,7 @@ def test_criterion_2_sample_instance():
 
 
 def test_criterion_3_forward_backward_on_random_instances():
-    crit = Criterion("criterion-3 random instances", budget_seconds=60.0)
+    crit = Criterion("criterion-3 random instances", budget_seconds=10.0)
     for seed in range(50):
         n = seed % 5 + 1
         cnf = random_restricted_cnf(n, seed)

@@ -78,6 +78,18 @@ def test_hullnum_budget_exhausted(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["hullnum", "equiv"])
+@pytest.mark.parametrize("budget", ["-1", "abc"])
+def test_bad_budget_is_usage_error(capsys, fig2_file, sample_cnf_file,
+                                   command, budget):
+    source = ["--graph", fig2_file] if command == "hullnum" else [
+        "--cnf", sample_cnf_file]
+    with pytest.raises(SystemExit) as info:
+        run([command, *source, "--budget", budget])
+    assert info.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
 def test_simplicial(capsys, fig2_file):
     assert invoke(capsys, "simplicial", "--graph", fig2_file) == (0, "0,4\n")
 

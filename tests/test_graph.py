@@ -5,8 +5,8 @@ import pytest
 
 from geohull import (Disconnected, Graph, InvalidEdge, ParseError,
                      build_graph, build_reduction, diameter, distance_matrix,
-                     eccentricity, format_graph, is_clique, parse_graph,
-                     verify_structure)
+                     eccentricity, format_graph, is_clique, is_simplicial,
+                     parse_graph, verify_structure)
 from helpers import (bfs_levels, interval_oracle, path_enumeration_distance,
                      random_connected_graph)
 
@@ -68,11 +68,12 @@ def test_construction_matches_normalized_set_oracle():
         assert format_graph(g) == "".join(
             [f"{n} {len(normalized)}\n"]
             + [f"{u} {v}\n" for u, v in sorted(normalized)])
-        for u in range(n):
+        for u in range(-1, n + 1):
             expected = {v for v in range(n)
                         if (min(u, v), max(u, v)) in normalized}
-            assert g.neighbors(u) == frozenset(expected)
-            assert isinstance(g.neighbors(u), frozenset)
+            if 0 <= u < n:
+                assert g.neighbors(u) == frozenset(expected)
+                assert isinstance(g.neighbors(u), frozenset)
             for v in range(-1, n + 1):
                 assert g.adjacent(u, v) == (v in expected)
         same = build_graph(n, sorted(normalized))
@@ -81,6 +82,20 @@ def test_construction_matches_normalized_set_oracle():
             fewer = build_graph(n, sorted(normalized)[1:])
             assert g != fewer
         assert g != build_graph(n + 1, given)
+
+
+def test_out_of_range_vertices_are_rejected():
+    # Python indexing would read -1 as the last vertex.
+    g = build_graph(3, [(0, 1), (1, 2)])
+    for v in (-1, 3):
+        assert not g.adjacent(v, 1) and not g.adjacent(1, v)
+        with pytest.raises(ValueError):
+            g.neighbors(v)
+        with pytest.raises(ValueError):
+            is_simplicial(g, v)
+        with pytest.raises(ValueError):
+            eccentricity(g, v)
+    assert not g.adjacent(5, 1) and not g.adjacent(1, 5)
 
 
 def test_invalid_edge_names_the_first_bad_pair():

@@ -6,7 +6,8 @@ import pytest
 from geohull import (BudgetExceeded, Disconnected, TooLarge, build_graph,
                      build_reduction, hull_number_at_most,
                      hull_number_bruteforce, hull_number_exact, is_concave,
-                     is_hull_set, random_restricted_cnf, simplicial_vertices)
+                     is_hull_set, is_satisfiable, random_restricted_cnf,
+                     simplicial_vertices)
 from geohull.graph import mask_members, vertex_mask
 from geohull.solver import _Search
 from helpers import random_connected_graph
@@ -156,6 +157,20 @@ def test_core_bound_agrees_with_oracle(sample_reduction):
     # The n variable triples are disjoint concave sets.
     _, bound = root_cores(sample_reduction.graph)
     assert bound == sample_reduction.variable_count == 3
+
+
+def test_exact_solver_reach_at_six_variables():
+    # h <= 4n exactly when satisfiable, on reductions of 78 to 90 vertices.
+    for seed in range(8):
+        cnf = random_restricted_cnf(6, seed)
+        rg = build_reduction(cnf)
+        result = hull_number_exact(rg.graph)
+        h = result.hull_number
+        assert (h <= rg.k) == is_satisfiable(cnf), seed
+        assert len(result.witness) == h
+        assert is_hull_set(rg.graph, result.witness)
+        assert rg.designated_simplicial() <= result.witness
+        assert hull_number_at_most(rg.graph, h - 1).witness is None
 
 
 # -- decision search ------------------------------------------------------------
