@@ -25,8 +25,9 @@ class Graph:
     graphs are safe to share without locking: the edge tuple, the BFS
     distance layers (per vertex, one bitmask of the vertices at each
     distance), the distance matrix read off them, and the per-pair
-    betweenness table built by intersecting them.  Neighbour sets are
-    built from the masks on each call.
+    betweenness table built by intersecting them.  The table reads each
+    pair's distance off the layers too, so building it builds no distance
+    matrix.  Neighbour sets are built from the masks on each call.
 
     Edges read as ``(min, max)`` pairs in sorted order whatever order and
     orientation they were given in, which makes structural equality and
@@ -177,24 +178,39 @@ class Graph:
 
         Includes u and v themselves.  Low-level accessor shared by the
         convexity operations and the hull-number search; callers must not
-        mutate the returned lists.  Built from the distance layers as
-        I(u, v) = OR over k of L_k(u) & L_{d(u,v)-k}(v).
+        mutate the returned lists.  Read off the distance layers alone, with
+        no distance matrix: v lies in L_d(u) for d = d(u, v), and
+        I(u, v) = OR over k of L_k(u) & L_{d-k}(v).  An adjacent pair's
+        interval is the pair itself, and a pair at distance 2 adds the
+        common neighbours L_1(u) & adj[v].
         """
         if self._between is None:
             layers = self.distance_layers()
-            d = self.distances()
+            adj = self._adj_mask
             n = self.vertex_count
             table: list[list[int]] = [[0] * n for _ in range(n)]
             for u in range(n):
-                lu, du, row = layers[u], d[u], table[u]
-                for v in range(u, n):
-                    lv = layers[v]
-                    duv = du[v]
-                    mask = 0
-                    for k in range(duv + 1):
-                        mask |= lu[k] & lv[duv - k]
-                    row[v] = mask
-                    table[v][u] = mask
+                lu, row = layers[u], table[u]
+                bit = 1 << u
+                row[u] = bit
+                above = -(bit << 1)
+                for d in range(1, len(lu)):
+                    members = mask_members(lu[d] & above)
+                    if d == 1:
+                        for v in members:
+                            row[v] = table[v][u] = bit | (1 << v)
+                    elif d == 2:
+                        near = lu[1]
+                        for v in members:
+                            row[v] = table[v][u] = (bit | (1 << v)
+                                                    | (near & adj[v]))
+                    else:
+                        for v in members:
+                            lv = layers[v]
+                            mask = bit | (1 << v)
+                            for k in range(1, d):
+                                mask |= lu[k] & lv[d - k]
+                            row[v] = table[v][u] = mask
             self._between = table
         return self._between
 

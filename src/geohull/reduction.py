@@ -21,8 +21,8 @@ from .cnf import (Assignment, RestrictedCnf, occurrence_table, satisfies,
                   is_satisfiable, validate_restricted)
 from .convexity import is_concave, is_hull_set
 from .errors import GeohullError, InvalidInstance, NotAWitness, TooLarge
-from .graph import Graph
-from .solver import hull_number_at_most
+from .graph import Graph, vertex_mask
+from .solver import HullDecision, _Search
 
 # Fixed per-variable role order; vertex layout is clause vertices first
 # (by clause index), then one block per variable in this order.
@@ -82,10 +82,10 @@ class ReductionGraph:
 
     def hub_vertices(self) -> frozenset[int]:
         """The clique every other vertex hangs off: clause, y, ybar, z vertices."""
-        hub = set(range(self.clause_count))
+        m = self.clause_count
+        hub = set(range(m))
         for i in range(1, self.variable_count + 1):
-            hub.update((self.vertex("y", i), self.vertex("ybar", i),
-                        self.vertex("z", i)))
+            hub.update(_vertex_index(m, kind, i) for kind in ("y", "ybar", "z"))
         return frozenset(hub)
 
     def variable_triple(self, i: int) -> tuple[int, int, int]:
@@ -97,27 +97,32 @@ class ReductionGraph:
         """The instance's occurrence table, computed once per reduction."""
         return tuple(occurrence_table(self.cnf))
 
+    @cached_property
+    def _clause_regions(self) -> tuple[frozenset[int], ...]:
+        """Every clause region, indexed by its clause vertex, built in one
+        pass over the occurrences."""
+        m = self.clause_count
+        regions = [{_vertex_index(m, "c", j)} for j in range(1, m + 1)]
+        for i, (a, b, c) in enumerate(self.occurrences, start=1):
+            x, xp = _vertex_index(m, "x", i), _vertex_index(m, "xp", i)
+            regions[a].update((x, xp, _vertex_index(m, "x1", i)))
+            regions[b].update((x, xp, _vertex_index(m, "x2", i)))
+            regions[c].update((_vertex_index(m, "xbar", i),
+                               _vertex_index(m, "xbarp", i)))
+        return tuple(map(frozenset, regions))
+
     def clause_region(self, j: int) -> frozenset[int]:
         """The concave region of clause j: its vertex plus the gadget vertices
         that can pull it into a hull."""
-        region = {self.clause_vertex(j)}
-        for i, (a, b, c) in enumerate(self.occurrences, start=1):
-            if j - 1 == a:
-                region.update((self.vertex("x", i), self.vertex("xp", i),
-                               self.vertex("x1", i)))
-            if j - 1 == b:
-                region.update((self.vertex("x", i), self.vertex("xp", i),
-                               self.vertex("x2", i)))
-            if j - 1 == c:
-                region.update((self.vertex("xbar", i), self.vertex("xbarp", i)))
-        return frozenset(region)
+        return self._clause_regions[self.clause_vertex(j)]
 
     def designated_simplicial(self) -> frozenset[int]:
         """The 3n gadget tips that are simplicial by construction."""
+        m = self.clause_count
         out = set()
         for i in range(1, self.variable_count + 1):
-            out.update((self.vertex("xp1", i), self.vertex("xp2", i),
-                        self.vertex("xbarpp", i)))
+            out.update(_vertex_index(m, kind, i)
+                       for kind in ("xp1", "xp2", "xbarpp"))
         return frozenset(out)
 
     def elimination_ordering(self) -> tuple[int, ...]:
@@ -126,12 +131,13 @@ class ReductionGraph:
         Tips first, then their supports, then xp, then x and xbar, and the
         hub clique last; ascending variable index within each stage.
         """
+        m = self.clause_count
         order: list[int] = []
         stages = (("xp1", "xp2", "xbarpp"), ("x1", "x2", "xbarp"),
                   ("xp",), ("x", "xbar"))
         for stage in stages:
             for i in range(1, self.variable_count + 1):
-                order.extend(self.vertex(kind, i) for kind in stage)
+                order.extend(_vertex_index(m, kind, i) for kind in stage)
         order.extend(sorted(self.hub_vertices()))
         return tuple(order)
 
@@ -438,7 +444,7 @@ def equivalence_check(cnf: RestrictedCnf,
     rg = build_reduction(cnf)
     sat = is_satisfiable(cnf, max_variables)
     k = rg.k
-    decision = hull_number_at_most(rg.graph, k, node_budget)
+    decision = _decide_with_paper_cores(rg, node_budget)
     witness = decision.witness or frozenset()
     found = decision.witness is not None
 
@@ -473,6 +479,24 @@ def equivalence_check(cnf: RestrictedCnf,
     h = len(witness) if found else k + 1
     return EquivalenceReport(sat, h, k, witness, tuple(checks),
                              decision.lower_bound)
+
+
+def _decide_with_paper_cores(rg: ReductionGraph,
+                             node_budget: int | None = None) -> HullDecision:
+    """``hull_number_at_most(rg.graph, rg.k)``, with the decision search
+    seeded by the paper's concave sets in place of its root core build.
+
+    Every hull set meets the n variable triples and the m clause regions,
+    which is where h >= 4n comes from.  The search checks each set with
+    ``is_concave`` before using it and grows any core that is missing, so
+    the answer does not rest on the construction being right.
+    """
+    g = rg.graph
+    cores = [vertex_mask(g, rg.variable_triple(i))
+             for i in range(1, rg.variable_count + 1)]
+    cores.extend(vertex_mask(g, rg.clause_region(j))
+                 for j in range(1, rg.clause_count + 1))
+    return _Search(g, node_budget).decide(rg.k, cores)
 
 
 # -- labels sidecar -----------------------------------------------------------

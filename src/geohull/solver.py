@@ -31,6 +31,15 @@ core, a new one is grown lazily: hull(T) is extended greedily by each
 allowed candidate that leaves it short of the full set, and the complement
 of that convex set is stored for the rest of the search.
 
+On a reduction graph the equivalence harness seeds the decision search
+with the paper's n variable triples and m clause regions, the sets the
+root build returns on every reduction tried, and the build is skipped.
+Each seeded set is checked with ``is_concave`` before it is stored.
+Packing and branching are sound for any nonempty concave set, whatever its
+origin, so a set that fails the check is dropped and cannot make the
+answer wrong.  The branching never needed the cores to be complete either:
+once hull(T) meets every stored core, ``grow_core`` adds a missing one.
+
 The exact search runs iterative deepening on the number r of picks beyond
 M.  Each round fixes its picks one at a time, smallest first: candidate w
 is fixed once some completion of T + w exists among the candidates above
@@ -54,7 +63,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .chordal import simplicial_vertices
-from .convexity import extend_hull_mask, hull_mask
+from .convexity import extend_hull_mask, hull_mask, is_concave
 from .errors import BudgetExceeded, Disconnected, TooLarge
 from .graph import Graph, mask_members, vertex_mask
 
@@ -75,6 +84,11 @@ class HullDecision:
 
     witness: frozenset[int] | None
     lower_bound: int
+
+
+def _core_order(core: int) -> tuple[int, int]:
+    """Cores are stored by (size, mask), so the smallest is branched on first."""
+    return core.bit_count(), core
 
 
 class _Search:
@@ -123,15 +137,26 @@ class _Search:
             picks = self.first(start, start_members, allowed, extra)
         return HullNumberResult(len(mandatory) + extra, mandatory.union(picks))
 
-    def decide(self, k: int) -> HullDecision:
-        """Some hull set of at most k vertices, found by core branching."""
+    def decide(self, k: int, cores: list[int] | None = None) -> HullDecision:
+        """Some hull set of at most k vertices, found by core branching.
+
+        ``cores``, when given, are bitmasks of sets expected to be
+        concave, used in place of the root core build.  Each is checked
+        with ``is_concave`` first, and an empty or failing one is dropped.
+        """
         mandatory, start, start_members = self.root()
         if start == self.full:
             picks = () if len(mandatory) <= k else None
         else:
             allowed = self.full & ~start
-            self.cores = self.concave_cores(start, start_members,
-                                            mask_members(allowed))
+            if cores is None:
+                self.cores = self.concave_cores(start, start_members,
+                                                mask_members(allowed))
+            else:
+                self.cores = sorted(
+                    (core for core in cores
+                     if core and is_concave(self.g, mask_members(core))),
+                    key=_core_order)
             self.lower_bound = len(mandatory) + self.packing(start, allowed)
             picks = None
             if self.lower_bound <= k:
@@ -165,7 +190,7 @@ class _Search:
             core = full & ~x
             cores.append(core)
             covered |= core
-        return sorted(cores, key=lambda core: (core.bit_count(), core))
+        return sorted(cores, key=_core_order)
 
     def packing(self, hull: int, allowed: int) -> int | None:
         """Lower bound on the picks from ``allowed`` that complete ``hull``.
@@ -257,7 +282,7 @@ class _Search:
                 if grown != self.full:
                     x, members = grown, grown_members
         core = self.full & ~x
-        insort(self.cores, core, key=lambda core: (core.bit_count(), core))
+        insort(self.cores, core, key=_core_order)
         return core
 
 

@@ -151,6 +151,19 @@ def test_equiv(capsys, sample_cnf_file):
     assert all(line.startswith("PASS") for line in lines[3:])
 
 
+def test_equiv_budget_counts_no_root_core_build(capsys, sample_cnf_file):
+    # Seeded with the paper's concave sets, the decision search settles
+    # the sample in 10 hull evaluations; the unseeded hull_number_at_most
+    # spends 70, most of them building its root cores.
+    code, out = invoke(capsys, "equiv", "--cnf", sample_cnf_file,
+                       "--budget", "10")
+    assert code == 0
+    assert out.splitlines()[1] == "h=12"
+    code = run(["equiv", "--cnf", sample_cnf_file, "--budget", "9"])
+    assert code == 3
+    assert "hull number is at least 12" in capsys.readouterr().err
+
+
 def test_gen_cnf_deterministic(capsys):
     first = invoke(capsys, "gen-cnf", "--n", "4", "--seed", "7")
     second = invoke(capsys, "gen-cnf", "--n", "4", "--seed", "7")

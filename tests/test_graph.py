@@ -250,6 +250,37 @@ def test_metric_tables_match_bfs_and_interval_oracles(sample_reduction):
                 assert table[u][v] == expected
 
 
+def _distance_between_table(g):
+    """I(u, v) from the distance matrix: w is in it iff
+    d(u, w) + d(w, v) = d(u, v)."""
+    d = g.distances()
+    n = g.vertex_count
+    return [[sum(1 << w for w in range(n) if d[u][w] + d[w][v] == d[u][v])
+             for v in range(n)] for u in range(n)]
+
+
+def _refuse_distances(self):
+    raise AssertionError("the distance matrix was built")
+
+
+def test_between_table_matches_the_distance_identity(monkeypatch):
+    # Covers every fast path: the diagonal (K1), distance 1 only (K2, K5),
+    # and every distance up to 6 (P7) and 4 (C9).
+    rng = random.Random(37)
+    graphs = [build_graph(1, []), build_graph(2, [(0, 1)]),
+              build_graph(5, combinations(range(5), 2)),
+              build_graph(7, [(i, i + 1) for i in range(6)]),
+              build_graph(9, [(i, (i + 1) % 9) for i in range(9)])]
+    graphs += [random_connected_graph(rng, max_vertices=16)
+               for _ in range(200)]
+    expected = [_distance_between_table(g) for g in graphs]
+    monkeypatch.setattr(Graph, "distances", _refuse_distances)
+    for g, table in zip(graphs, expected):
+        fresh = Graph(g.vertex_count, g.edges)
+        assert fresh.between_table() == table
+        assert fresh._dist is None
+
+
 def test_is_clique(fig2):
     assert is_clique(fig2, [])
     assert is_clique(fig2, [2])

@@ -3,12 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from geohull import (BudgetExceeded, Disconnected, TooLarge, build_graph,
-                     build_reduction, hull_number_at_most,
-                     hull_number_bruteforce, hull_number_exact, is_concave,
-                     is_hull_set, is_satisfiable, random_restricted_cnf,
-                     simplicial_vertices)
+from geohull import (BudgetExceeded, Disconnected, Graph, TooLarge,
+                     build_graph, build_reduction, gadget_edges,
+                     hull_number_at_most, hull_number_bruteforce,
+                     hull_number_exact, is_concave, is_hull_set,
+                     is_satisfiable, random_restricted_cnf,
+                     simplicial_vertices, with_graph)
 from geohull.graph import mask_members, vertex_mask
+from geohull.reduction import _decide_with_paper_cores
 from geohull.solver import _Search
 from helpers import random_connected_graph
 
@@ -212,6 +214,62 @@ def test_decision_agrees_on_criterion_3_seeds():
     for seed in range(50):
         rg = build_reduction(random_restricted_cnf(seed % 5 + 1, seed))
         check_decisions(rg.graph, hull_number_exact(rg.graph).hull_number)
+
+
+def paper_cores(rg):
+    """Masks of the n variable triples and the m clause regions."""
+    g = rg.graph
+    sets = [rg.variable_triple(i) for i in range(1, rg.variable_count + 1)]
+    sets += [rg.clause_region(j) for j in range(1, rg.clause_count + 1)]
+    return [vertex_mask(g, s) for s in sets]
+
+
+def test_paper_cores_are_the_root_cores():
+    # The criterion-3 seeds and n <= 8 at seeds 0-11: the root core build
+    # finds exactly the paper's sets, and seeding the search with them
+    # gives the same witness and lower bound.
+    instances = {(seed % 5 + 1, seed) for seed in range(50)}
+    instances |= {(n, seed) for n in range(1, 9) for seed in range(12)}
+    for n, seed in sorted(instances):
+        rg = build_reduction(random_restricted_cnf(n, seed))
+        cores, _ = root_cores(rg.graph)
+        assert cores == sorted(paper_cores(rg),
+                               key=lambda core: (core.bit_count(), core))
+        assert (_decide_with_paper_cores(rg)
+                == hull_number_at_most(rg.graph, rg.k)), (n, seed)
+
+
+def test_seeded_search_drops_sets_that_are_not_concave(sample_reduction,
+                                                       tiny_reduction):
+    # Deleting one gadget edge can leave a triple or a region no longer
+    # concave.  Branching on such a set, or packing it, loses hull sets:
+    # on the tiny reduction without y1-x21 it would answer h > 4.
+    dropped = 0
+    for rg in (sample_reduction, tiny_reduction):
+        for i in range(1, rg.variable_count + 1):
+            for victim in gadget_edges(rg, i):
+                edges = [e for e in rg.graph.edges if e != victim]
+                mutant = with_graph(rg, Graph(rg.graph.vertex_count, edges))
+                g = mutant.graph
+                if not g.is_connected:
+                    continue
+                hints = paper_cores(mutant)
+                bad = [h for h in hints if not is_concave(g, mask_members(h))]
+                search = _Search(g, None)
+                decision = search.decide(mutant.k, hints)
+                assert not set(bad) & set(search.cores), victim
+                assert all(is_concave(g, mask_members(core))
+                           for core in search.cores)
+                assert decision == _decide_with_paper_cores(mutant)
+                plain = hull_number_at_most(g, mutant.k)
+                assert ((decision.witness is None)
+                        == (plain.witness is None)), victim
+                for witness in (decision.witness, plain.witness):
+                    if witness is not None:
+                        assert is_hull_set(g, witness)
+                        assert decision.lower_bound <= len(witness), victim
+                dropped += len(bad)
+    assert dropped == 48
 
 
 def test_decision_rejects_disconnected():
