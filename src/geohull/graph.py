@@ -180,13 +180,10 @@ class Graph:
         convexity operations and the hull-number search; callers must not
         mutate the returned lists.  Read off the distance layers alone, with
         no distance matrix: v lies in L_d(u) for d = d(u, v), and
-        I(u, v) = OR over k of L_k(u) & L_{d-k}(v).  An adjacent pair's
-        interval is the pair itself, and a pair at distance 2 adds the
-        common neighbours L_1(u) & adj[v].
+        I(u, v) = {u, v} | OR over 0 < k < d of L_k(u) & L_{d-k}(v).
         """
         if self._between is None:
             layers = self.distance_layers()
-            adj = self._adj_mask
             n = self.vertex_count
             table: list[list[int]] = [[0] * n for _ in range(n)]
             for u in range(n):
@@ -195,22 +192,12 @@ class Graph:
                 row[u] = bit
                 above = -(bit << 1)
                 for d in range(1, len(lu)):
-                    members = mask_members(lu[d] & above)
-                    if d == 1:
-                        for v in members:
-                            row[v] = table[v][u] = bit | (1 << v)
-                    elif d == 2:
-                        near = lu[1]
-                        for v in members:
-                            row[v] = table[v][u] = (bit | (1 << v)
-                                                    | (near & adj[v]))
-                    else:
-                        for v in members:
-                            lv = layers[v]
-                            mask = bit | (1 << v)
-                            for k in range(1, d):
-                                mask |= lu[k] & lv[d - k]
-                            row[v] = table[v][u] = mask
+                    for v in mask_members(lu[d] & above):
+                        lv = layers[v]
+                        mask = bit | (1 << v)
+                        for k in range(1, d):
+                            mask |= lu[k] & lv[d - k]
+                        row[v] = table[v][u] = mask
             self._between = table
         return self._between
 

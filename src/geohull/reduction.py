@@ -481,22 +481,27 @@ def equivalence_check(cnf: RestrictedCnf,
                              decision.lower_bound)
 
 
-def _decide_with_paper_cores(rg: ReductionGraph,
-                             node_budget: int | None = None) -> HullDecision:
-    """``hull_number_at_most(rg.graph, rg.k)``, with the decision search
-    seeded by the paper's concave sets in place of its root core build.
-
-    Every hull set meets the n variable triples and the m clause regions,
-    which is where h >= 4n comes from.  The search checks each set with
-    ``is_concave`` before using it and grows any core that is missing, so
-    the answer does not rest on the construction being right.
-    """
+def _paper_cores(rg: ReductionGraph) -> list[int]:
+    """Masks of the n variable triples and the m clause regions: the
+    concave sets every hull set meets, which is where h >= 4n comes from."""
     g = rg.graph
     cores = [vertex_mask(g, rg.variable_triple(i))
              for i in range(1, rg.variable_count + 1)]
     cores.extend(vertex_mask(g, rg.clause_region(j))
                  for j in range(1, rg.clause_count + 1))
-    return _Search(g, node_budget).decide(rg.k, cores)
+    return cores
+
+
+def _decide_with_paper_cores(rg: ReductionGraph,
+                             node_budget: int | None = None) -> HullDecision:
+    """``hull_number_at_most(rg.graph, rg.k)``, with the decision search
+    seeded by ``_paper_cores`` in place of its root core build.
+
+    The search checks each set with ``is_concave`` before using it and
+    grows any core that is missing, so the answer does not rest on the
+    construction being right.
+    """
+    return _Search(rg.graph, node_budget).decide(rg.k, _paper_cores(rg))
 
 
 # -- labels sidecar -----------------------------------------------------------

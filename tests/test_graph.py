@@ -264,8 +264,8 @@ def _refuse_distances(self):
 
 
 def test_between_table_matches_the_distance_identity(monkeypatch):
-    # Covers every fast path: the diagonal (K1), distance 1 only (K2, K5),
-    # and every distance up to 6 (P7) and 4 (C9).
+    # Covers the diagonal (K1), distance 1 only (K2, K5), and every
+    # distance up to 6 (P7) and 4 (C9).
     rng = random.Random(37)
     graphs = [build_graph(1, []), build_graph(2, [(0, 1)]),
               build_graph(5, combinations(range(5), 2)),

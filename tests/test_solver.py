@@ -10,8 +10,8 @@ from geohull import (BudgetExceeded, Disconnected, Graph, TooLarge,
                      is_satisfiable, random_restricted_cnf,
                      simplicial_vertices, with_graph)
 from geohull.graph import mask_members, vertex_mask
-from geohull.reduction import _decide_with_paper_cores
-from geohull.solver import _Search
+from geohull.reduction import _decide_with_paper_cores, _paper_cores
+from geohull.solver import _Search, _core_order
 from helpers import random_connected_graph
 
 
@@ -216,14 +216,6 @@ def test_decision_agrees_on_criterion_3_seeds():
         check_decisions(rg.graph, hull_number_exact(rg.graph).hull_number)
 
 
-def paper_cores(rg):
-    """Masks of the n variable triples and the m clause regions."""
-    g = rg.graph
-    sets = [rg.variable_triple(i) for i in range(1, rg.variable_count + 1)]
-    sets += [rg.clause_region(j) for j in range(1, rg.clause_count + 1)]
-    return [vertex_mask(g, s) for s in sets]
-
-
 def test_paper_cores_are_the_root_cores():
     # The criterion-3 seeds and n <= 8 at seeds 0-11: the root core build
     # finds exactly the paper's sets, and seeding the search with them
@@ -233,8 +225,7 @@ def test_paper_cores_are_the_root_cores():
     for n, seed in sorted(instances):
         rg = build_reduction(random_restricted_cnf(n, seed))
         cores, _ = root_cores(rg.graph)
-        assert cores == sorted(paper_cores(rg),
-                               key=lambda core: (core.bit_count(), core))
+        assert cores == sorted(_paper_cores(rg), key=_core_order)
         assert (_decide_with_paper_cores(rg)
                 == hull_number_at_most(rg.graph, rg.k)), (n, seed)
 
@@ -253,7 +244,7 @@ def test_seeded_search_drops_sets_that_are_not_concave(sample_reduction,
                 g = mutant.graph
                 if not g.is_connected:
                     continue
-                hints = paper_cores(mutant)
+                hints = _paper_cores(mutant)
                 bad = [h for h in hints if not is_concave(g, mask_members(h))]
                 search = _Search(g, None)
                 decision = search.decide(mutant.k, hints)
