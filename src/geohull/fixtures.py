@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graph import Graph, build_graph
+from .graph import Graph
 
 
 def small_chordal_graph() -> Graph:
@@ -13,7 +13,7 @@ def small_chordal_graph() -> Graph:
     ({z,t} -> x3), since z and t are adjacent.
     """
     names = {0: "x1", 1: "x2", 2: "x3", 3: "t", 4: "z"}
-    return build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3), (2, 4)], names)
+    return Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3), (2, 4)], names)
 
 
 FIXTURES = {

@@ -11,10 +11,6 @@ from .errors import Disconnected, InvalidEdge, ParseError, TooLarge
 MAX_VERTICES = 1 << 16
 
 
-# The set bit positions of every byte value.
-_BYTE_BITS = tuple(tuple(b for b in range(8) if x >> b & 1) for x in range(256))
-
-
 class Graph:
     """Undirected simple graph on vertices ``0 .. vertex_count-1``.
 
@@ -154,21 +150,16 @@ class Graph:
         return self._layers
 
     def distances(self) -> tuple[tuple[int, ...], ...]:
-        """All-pairs hop counts; raises Disconnected when undefined."""
+        """All-pairs hop counts, read off the distance layers; raises
+        Disconnected when undefined.  A reference view: the library's own
+        metric queries read the layers directly."""
         if self._dist is None:
-            n = self.vertex_count
-            width = (n + 7) // 8
             rows = []
             for layers in self.distance_layers():
-                dist = [0] * n
-                # A row's layers cover every vertex between them, so
-                # reading them a byte at a time beats one bit at a time.
-                for k in range(1, len(layers)):
-                    for i, byte in enumerate(layers[k].to_bytes(width, "little")):
-                        if byte:
-                            base = 8 * i
-                            for b in _BYTE_BITS[byte]:
-                                dist[base + b] = k
+                dist = [0] * self.vertex_count
+                for k, layer in enumerate(layers):
+                    for w in mask_members(layer):
+                        dist[w] = k
                 rows.append(tuple(dist))
             self._dist = tuple(rows)
         return self._dist
@@ -260,44 +251,7 @@ def _is_clique_mask(g: Graph, mask: int) -> bool:
     return True
 
 
-# -- spec operations ------------------------------------------------------
-
-def build_graph(vertex_count: int,
-                edge_list: Iterable[tuple[int, int]],
-                vertex_names: Mapping[int, str] | None = None) -> Graph:
-    """Construct a graph with deduplicated, normalized edges."""
-    return Graph(vertex_count, edge_list, vertex_names)
-
-
-class DistanceMatrix:
-    """Pairwise hop counts of a connected graph."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        self._rows = rows
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self._rows)
-
-    def dist(self, u: int, v: int) -> int:
-        return self._rows[u][v]
-
-    def __getitem__(self, u: int) -> tuple[int, ...]:
-        return self._rows[u]
-
-    def eccentricity(self, v: int) -> int:
-        return max(self._rows[v])
-
-    def diameter(self) -> int:
-        return max(max(row) for row in self._rows)
-
-
-def distance_matrix(g: Graph) -> DistanceMatrix:
-    """Exact BFS hop counts for all vertex pairs of a connected graph."""
-    return DistanceMatrix(g.distances())
-
+# -- metric and clique queries --------------------------------------------
 
 def eccentricity(g: Graph, v: int) -> int:
     """Largest distance from v to any vertex."""

@@ -12,7 +12,7 @@ containing that literal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -21,7 +21,8 @@ from .cnf import (Assignment, RestrictedCnf, occurrence_table, satisfies,
                   is_satisfiable, validate_restricted)
 from .convexity import is_concave, is_hull_set
 from .errors import GeohullError, InvalidInstance, NotAWitness, TooLarge
-from .graph import Graph, vertex_mask
+from .graph import (Graph, _check_vertex, diameter, eccentricity,
+                    vertex_mask)
 from .solver import HullDecision, _Search
 
 # Fixed per-variable role order; vertex layout is clause vertices first
@@ -41,13 +42,31 @@ def _vertex_index(clause_count: int, kind: str, i: int) -> int:
     return clause_count + BLOCK_SIZE * (i - 1) + _OFFSET[kind]
 
 
+def _role(clause_count: int, v: int) -> tuple[str, int]:
+    """Inverse of ``_vertex_index``: the role kind of vertex v and its
+    1-based variable or clause index (unchecked)."""
+    if v < clause_count:
+        return "c", v + 1
+    block, offset = divmod(v - clause_count, BLOCK_SIZE)
+    return ROLE_ORDER[offset], block + 1
+
+
+def _hub(n: int, m: int) -> list[int]:
+    """The hub clique in ascending order: every clause vertex, then the y,
+    ybar and z vertices of each variable."""
+    hub = [_vertex_index(m, "c", j) for j in range(1, m + 1)]
+    for i in range(1, n + 1):
+        hub.extend(_vertex_index(m, kind, i) for kind in ("y", "ybar", "z"))
+    return hub
+
+
 @dataclass(frozen=True)
 class ReductionGraph:
-    """The built graph plus the role of every vertex and the source instance."""
+    """The built graph plus the source instance; the role of each vertex is
+    read off the fixed layout."""
 
     graph: Graph
     cnf: RestrictedCnf
-    roles: tuple[tuple[str, int], ...]
 
     @property
     def variable_count(self) -> int:
@@ -72,21 +91,20 @@ class ReductionGraph:
         """Vertex of role ``kind`` for variable i (1-based)."""
         if kind == "c":
             return self.clause_vertex(i)
+        if kind not in _OFFSET:
+            raise ValueError(f"unknown role kind {kind!r}")
         if not 1 <= i <= self.variable_count:
             raise ValueError(f"variable index {i} out of range")
         return _vertex_index(self.clause_count, kind, i)
 
     def role_token(self, v: int) -> str:
-        kind, num = self.roles[v]
-        return f"{kind}{num}"
+        """Role of vertex v as written in the labels file, such as "xbar2"."""
+        _check_vertex(self.graph, v)
+        return "%s%d" % _role(self.clause_count, v)
 
     def hub_vertices(self) -> frozenset[int]:
         """The clique every other vertex hangs off: clause, y, ybar, z vertices."""
-        m = self.clause_count
-        hub = set(range(m))
-        for i in range(1, self.variable_count + 1):
-            hub.update(_vertex_index(m, kind, i) for kind in ("y", "ybar", "z"))
-        return frozenset(hub)
+        return frozenset(_hub(self.variable_count, self.clause_count))
 
     def variable_triple(self, i: int) -> tuple[int, int, int]:
         """The concave triple of variable i; hull sets must hit it."""
@@ -131,14 +149,14 @@ class ReductionGraph:
         Tips first, then their supports, then xp, then x and xbar, and the
         hub clique last; ascending variable index within each stage.
         """
-        m = self.clause_count
+        n, m = self.variable_count, self.clause_count
         order: list[int] = []
         stages = (("xp1", "xp2", "xbarpp"), ("x1", "x2", "xbarp"),
                   ("xp",), ("x", "xbar"))
         for stage in stages:
-            for i in range(1, self.variable_count + 1):
+            for i in range(1, n + 1):
                 order.extend(_vertex_index(m, kind, i) for kind in stage)
-        order.extend(sorted(self.hub_vertices()))
+        order.extend(_hub(n, m))
         return tuple(order)
 
 
@@ -205,20 +223,12 @@ def build_reduction(cnf: RestrictedCnf) -> ReductionGraph:
     n, m = cnf.variable_count, cnf.clause_count
     vertex_count = BLOCK_SIZE * n + m
 
-    roles: list[tuple[str, int]] = [("c", j) for j in range(1, m + 1)]
-    for i in range(1, n + 1):
-        roles.extend((kind, i) for kind in ROLE_ORDER)
-
-    hub = [_vertex_index(m, "c", j) for j in range(1, m + 1)]
-    for i in range(1, n + 1):
-        hub.extend(_vertex_index(m, kind, i) for kind in ("y", "ybar", "z"))
-    edges = list(combinations(sorted(hub), 2))
+    edges = list(combinations(_hub(n, m), 2))
     for i, (a, b, c) in enumerate(occurrence_table(cnf), start=1):
         edges.extend(_variable_gadget(m, i, a, b, c))
 
-    names = {idx: f"{kind}{num}" for idx, (kind, num) in enumerate(roles)}
-    graph = Graph(vertex_count, edges, names)
-    return ReductionGraph(graph=graph, cnf=cnf, roles=tuple(roles))
+    names = {v: "%s%d" % _role(m, v) for v in range(vertex_count)}
+    return ReductionGraph(Graph(vertex_count, edges, names), cnf)
 
 
 # -- witness translation ------------------------------------------------------
@@ -311,12 +321,11 @@ def verify_structure(rg: ReductionGraph) -> StructureReport:
             f"{g.vertex_count} vertices, expected {BLOCK_SIZE}n+m = {expected}"
 
     def check_diameter():
-        d = max(len(row) for row in g.distance_layers()) - 1
+        d = diameter(g)
         return d == 3, f"diameter {d}, expected 3"
 
     def check_hub_eccentricity():
-        layers = g.distance_layers()
-        bad = [v for v in sorted(rg.hub_vertices()) if len(layers[v]) - 1 != 2]
+        bad = [v for v in _hub(n, m) if eccentricity(g, v) != 2]
         return not bad, ("all hub vertices have eccentricity 2" if not bad
                          else f"hub vertices with eccentricity != 2: {bad}")
 
@@ -510,8 +519,3 @@ def format_labels(rg: ReductionGraph) -> str:
     """One "<index> <role>" line per vertex, ascending."""
     return "\n".join(f"{v} {rg.role_token(v)}"
                      for v in range(rg.graph.vertex_count)) + "\n"
-
-
-def with_graph(rg: ReductionGraph, graph: Graph) -> ReductionGraph:
-    """Same roles and instance over a different graph (mutation testing)."""
-    return replace(rg, graph=graph)

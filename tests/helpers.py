@@ -11,7 +11,7 @@ from collections import deque
 from itertools import combinations
 from random import Random
 
-from geohull.graph import Graph, build_graph
+from geohull.graph import Graph
 
 
 # -- random graphs -----------------------------------------------------------
@@ -30,7 +30,7 @@ def random_connected_graph(rng: Random, min_vertices: int = 1,
     for u, v in combinations(range(n), 2):
         if rng.random() < extra:
             edges.add((u, v))
-    return build_graph(n, sorted(edges))
+    return Graph(n, sorted(edges))
 
 
 def random_graph(rng: Random, min_vertices: int = 1,
@@ -39,7 +39,7 @@ def random_graph(rng: Random, min_vertices: int = 1,
     n = rng.randint(min_vertices, max_vertices)
     p = rng.uniform(0.0, 0.7)
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def random_subset(rng: Random, pool) -> set[int]:

@@ -7,6 +7,7 @@ to watch the lines as they appear.
 
 import random
 import time
+from dataclasses import replace
 
 from geohull import (Graph, IntervalDependency, assignment_to_hull_set,
                      build_reduction, chordality, equivalence_check,
@@ -17,7 +18,7 @@ from geohull import (Graph, IntervalDependency, assignment_to_hull_set,
                      is_perfect_elimination_ordering, is_satisfiable,
                      make_cnf, random_restricted_cnf, satisfies,
                      satisfying_assignments, simplicial_vertices,
-                     validate_restricted, verify_structure, with_graph)
+                     validate_restricted, verify_structure)
 from geohull.fixtures import small_chordal_graph
 from helpers import has_induced_cycle_at_least_4, random_connected_graph, random_graph
 
@@ -178,7 +179,7 @@ def test_criterion_7_mutation_sensitivity():
     models = list(satisfying_assignments(cnf))
     for victim in edges:
         remaining = [e for e in rg.graph.edges if e != victim]
-        mutated = with_graph(rg, Graph(rg.graph.vertex_count, remaining))
+        mutated = replace(rg, graph=Graph(rg.graph.vertex_count, remaining))
         structure_ok = verify_structure(mutated).passed
         forward_ok = all(is_hull_set(mutated.graph,
                                      assignment_to_hull_set(mutated, a))

@@ -3,18 +3,18 @@ from itertools import combinations, permutations
 
 import pytest
 
-from geohull import (InvalidOrdering, build_graph, chordality, is_clique,
+from geohull import (Graph, InvalidOrdering, chordality, is_clique,
                      is_perfect_elimination_ordering, is_simplicial,
                      simplicial_vertices)
 from helpers import has_induced_cycle_at_least_4, random_graph
 
 
 def cycle(n):
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def test_simplicial_complete_graph():
-    g = build_graph(4, combinations(range(4), 2))
+    g = Graph(4, combinations(range(4), 2))
     assert simplicial_vertices(g) == {0, 1, 2, 3}
 
 
@@ -25,17 +25,17 @@ def test_simplicial_fig2(fig2):
 
 
 def test_simplicial_path():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert simplicial_vertices(g) == {0, 3}
 
 
 def test_simplicial_isolated_vertex():
-    g = build_graph(2, [])
+    g = Graph(2, [])
     assert simplicial_vertices(g) == {0, 1}
 
 
 def test_peo_path():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     assert is_perfect_elimination_ordering(g, (0, 2, 1))
     assert is_perfect_elimination_ordering(g, (2, 0, 1))
 
@@ -65,14 +65,14 @@ def test_chordality_fig2(fig2):
 
 
 def test_chordality_tree():
-    g = build_graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
+    g = Graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
     peo = chordality(g)
     assert peo is not None
     assert is_perfect_elimination_ordering(g, peo)
 
 
 def test_chordality_triangle_with_tail():
-    g = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     assert chordality(g) is not None
 
 

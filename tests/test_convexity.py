@@ -1,23 +1,24 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geohull import (Disconnected, Graph, IntervalDependency, build_graph,
-                     gadget_edges, hull, interval, interval_dependencies,
-                     is_concave, is_convex, is_hull_set, with_graph)
+from geohull import (Disconnected, Graph, IntervalDependency, gadget_edges,
+                     hull, interval, interval_dependencies, is_concave,
+                     is_convex, is_hull_set)
 from helpers import (hull_oracle, interval_oracle, random_connected_graph,
                      random_subset)
 
 
 def complete_graph(n):
-    return build_graph(n, combinations(range(n), 2))
+    return Graph(n, combinations(range(n), 2))
 
 
 def test_interval_path():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     assert interval(g, [0, 2]) == {0, 1, 2}
 
 
@@ -66,7 +67,7 @@ def test_is_hull_set(fig2):
 
 
 def test_disconnected_raises():
-    g = build_graph(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     for op in (interval, hull, is_convex, is_concave, is_hull_set):
         with pytest.raises(Disconnected):
             op(g, [0, 1])
@@ -141,7 +142,7 @@ def test_concave_iff_complement_convex_on_gadget_edge_deletions(
     assert len(edges) == 26
     for victim in edges:
         remaining = [e for e in rg.graph.edges if e != victim]
-        mutant = with_graph(rg, Graph(rg.graph.vertex_count, remaining))
+        mutant = replace(rg, graph=Graph(rg.graph.vertex_count, remaining))
         g = mutant.graph
         gadget_sets = [mutant.variable_triple(i)
                        for i in range(1, mutant.variable_count + 1)]
@@ -164,7 +165,7 @@ def connected_graphs(draw):
     for idx in range(1, n):
         parent = draw(st.integers(min_value=0, max_value=idx - 1))
         edges.append((perm[idx], perm[parent]))
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 @st.composite

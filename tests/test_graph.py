@@ -4,21 +4,20 @@ from itertools import combinations
 import pytest
 
 from geohull import (Disconnected, Graph, InvalidEdge, ParseError,
-                     build_graph, build_reduction, diameter, distance_matrix,
-                     eccentricity, format_graph, is_clique, is_simplicial,
-                     parse_graph, verify_structure)
+                     build_reduction, diameter, eccentricity, format_graph,
+                     is_clique, is_simplicial, parse_graph, verify_structure)
 from helpers import (bfs_levels, interval_oracle, path_enumeration_distance,
                      random_connected_graph)
 
 
 def test_build_path():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     assert g.vertex_count == 3
     assert g.edges == ((0, 1), (1, 2))
 
 
 def test_build_normalizes_and_deduplicates():
-    g = build_graph(4, [(2, 0), (0, 2), (3, 1), (1, 3), (1, 3)])
+    g = Graph(4, [(2, 0), (0, 2), (3, 1), (1, 3), (1, 3)])
     assert g.edges == ((0, 2), (1, 3))
 
 
@@ -30,14 +29,14 @@ def test_build_fig2(fig2):
 
 def test_self_loop_rejected():
     with pytest.raises(InvalidEdge):
-        build_graph(2, [(0, 0)])
+        Graph(2, [(0, 0)])
 
 
 def test_out_of_range_endpoint_rejected():
     with pytest.raises(InvalidEdge):
-        build_graph(2, [(0, 2)])
+        Graph(2, [(0, 2)])
     with pytest.raises(InvalidEdge):
-        build_graph(3, [(-1, 1)])
+        Graph(3, [(-1, 1)])
 
 
 def _messy_edge_list(rng, n):
@@ -62,7 +61,7 @@ def test_construction_matches_normalized_set_oracle():
               for n in [rng.randint(1, 70) for _ in range(60)]]
     for n, given in cases:
         normalized = {(min(u, v), max(u, v)) for u, v in given}
-        g = build_graph(n, given)
+        g = Graph(n, given)
         assert g.edges == tuple(sorted(normalized))
         assert g.edge_count == len(normalized)
         assert format_graph(g) == "".join(
@@ -76,17 +75,17 @@ def test_construction_matches_normalized_set_oracle():
                 assert isinstance(g.neighbors(u), frozenset)
             for v in range(-1, n + 1):
                 assert g.adjacent(u, v) == (v in expected)
-        same = build_graph(n, sorted(normalized))
+        same = Graph(n, sorted(normalized))
         assert g == same and hash(g) == hash(same)
         if normalized:
-            fewer = build_graph(n, sorted(normalized)[1:])
+            fewer = Graph(n, sorted(normalized)[1:])
             assert g != fewer
-        assert g != build_graph(n + 1, given)
+        assert g != Graph(n + 1, given)
 
 
 def test_out_of_range_vertices_are_rejected():
     # Python indexing would read -1 as the last vertex.
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     for v in (-1, 3):
         assert not g.adjacent(v, 1) and not g.adjacent(1, v)
         with pytest.raises(ValueError):
@@ -107,7 +106,7 @@ def test_invalid_edge_names_the_first_bad_pair():
     ]
     for given, message in cases:
         with pytest.raises(InvalidEdge) as info:
-            build_graph(3, given)
+            Graph(3, given)
         assert str(info.value) == message
 
 
@@ -124,40 +123,40 @@ def test_structural_verifier_never_builds_the_edge_tuple(sample_cnf,
 
 
 def test_equality_ignores_edge_order():
-    a = build_graph(3, [(0, 1), (1, 2)])
-    b = build_graph(3, [(2, 1), (1, 0)])
+    a = Graph(3, [(0, 1), (1, 2)])
+    b = Graph(3, [(2, 1), (1, 0)])
     assert a == b
     assert hash(a) == hash(b)
 
 
 def test_distances_path():
-    g = build_graph(3, [(0, 1), (1, 2)])
-    dm = distance_matrix(g)
-    assert dm.dist(0, 2) == 2
-    assert dm.dist(2, 0) == 2
+    g = Graph(3, [(0, 1), (1, 2)])
+    d = g.distances()
+    assert d[0][2] == 2
+    assert d[2][0] == 2
 
 
 def test_distances_fig2(fig2):
-    dm = distance_matrix(fig2)
-    assert dm.dist(0, 4) == 3
-    assert dm[0] == (0, 1, 2, 2, 3)
+    d = fig2.distances()
+    assert d[0][4] == 3
+    assert d[0] == (0, 1, 2, 2, 3)
 
 
 def test_distances_complete_graph():
-    g = build_graph(4, combinations(range(4), 2))
-    dm = distance_matrix(g)
-    assert all(dm.dist(u, v) == 1 for u in range(4) for v in range(4) if u != v)
+    g = Graph(4, combinations(range(4), 2))
+    d = g.distances()
+    assert all(d[u][v] == 1 for u in range(4) for v in range(4) if u != v)
 
 
 def test_disconnected_rejected():
-    g = build_graph(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     assert not g.is_connected
     with pytest.raises(Disconnected):
         g.distance_layers()
     with pytest.raises(Disconnected):
         g.between_table()
     with pytest.raises(Disconnected):
-        distance_matrix(g)
+        g.distances()
     with pytest.raises(Disconnected):
         eccentricity(g, 0)
     with pytest.raises(Disconnected):
@@ -165,22 +164,22 @@ def test_disconnected_rejected():
 
 
 def test_empty_graph_rejected():
-    g = build_graph(0, [])
+    g = Graph(0, [])
     with pytest.raises(Disconnected):
         g.distance_layers()
     with pytest.raises(Disconnected):
-        distance_matrix(g)
+        g.distances()
 
 
 def test_single_vertex():
-    g = build_graph(1, [])
+    g = Graph(1, [])
     assert g.is_connected
     assert diameter(g) == 0
     assert eccentricity(g, 0) == 0
 
 
 def test_eccentricity_and_diameter_path5():
-    g = build_graph(5, [(i, i + 1) for i in range(4)])
+    g = Graph(5, [(i, i + 1) for i in range(4)])
     assert diameter(g) == 4
     assert eccentricity(g, 2) == 2
     assert eccentricity(g, 0) == 4
@@ -208,31 +207,31 @@ def test_distance_matrix_invariants_on_random_graphs():
     rng = random.Random(11)
     for _ in range(40):
         g = random_connected_graph(rng, max_vertices=10)
-        dm = distance_matrix(g)
+        d = g.distances()
         n = g.vertex_count
         for u in range(n):
-            assert dm.dist(u, u) == 0
+            assert d[u][u] == 0
             for v in range(u + 1, n):
-                assert dm.dist(u, v) == dm.dist(v, u)
-                assert (dm.dist(u, v) == 1) == g.adjacent(u, v)
+                assert d[u][v] == d[v][u]
+                assert (d[u][v] == 1) == g.adjacent(u, v)
                 for w in range(n):
-                    assert dm.dist(u, v) <= dm.dist(u, w) + dm.dist(w, v)
+                    assert d[u][v] <= d[u][w] + d[w][v]
 
 
 def test_distances_match_path_enumeration_oracle():
     rng = random.Random(23)
     for _ in range(25):
         g = random_connected_graph(rng, max_vertices=12)
-        dm = distance_matrix(g)
+        d = g.distances()
         n = g.vertex_count
         for u in range(n):
             for v in range(u + 1, n):
-                assert dm.dist(u, v) == path_enumeration_distance(g, u, v)
+                assert d[u][v] == path_enumeration_distance(g, u, v)
 
 
 def test_metric_tables_match_bfs_and_interval_oracles(sample_reduction):
     rng = random.Random(29)
-    graphs = [build_graph(1, []), sample_reduction.graph]
+    graphs = [Graph(1, []), sample_reduction.graph]
     graphs += [random_connected_graph(rng, max_vertices=12) for _ in range(30)]
     for g in graphs:
         layers = g.distance_layers()
@@ -267,10 +266,10 @@ def test_between_table_matches_the_distance_identity(monkeypatch):
     # Covers the diagonal (K1), distance 1 only (K2, K5), and every
     # distance up to 6 (P7) and 4 (C9).
     rng = random.Random(37)
-    graphs = [build_graph(1, []), build_graph(2, [(0, 1)]),
-              build_graph(5, combinations(range(5), 2)),
-              build_graph(7, [(i, i + 1) for i in range(6)]),
-              build_graph(9, [(i, (i + 1) % 9) for i in range(9)])]
+    graphs = [Graph(1, []), Graph(2, [(0, 1)]),
+              Graph(5, combinations(range(5), 2)),
+              Graph(7, [(i, i + 1) for i in range(6)]),
+              Graph(9, [(i, (i + 1) % 9) for i in range(9)])]
     graphs += [random_connected_graph(rng, max_vertices=16)
                for _ in range(200)]
     expected = [_distance_between_table(g) for g in graphs]
@@ -309,7 +308,7 @@ def test_round_trip_is_bit_exact(fig2):
 
 def test_parse_skips_comments():
     g = parse_graph("# a comment\n3 2\n# another\n0 1\n1 2\n")
-    assert g == build_graph(3, [(0, 1), (1, 2)])
+    assert g == Graph(3, [(0, 1), (1, 2)])
 
 
 @pytest.mark.parametrize("text", [

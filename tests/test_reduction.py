@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -9,7 +10,7 @@ from geohull import (EquivalenceReport, Graph, InvalidInstance, NotAWitness,
                      induced_assignment, interval, is_clique, is_hull_set,
                      is_perfect_elimination_ordering, make_cnf,
                      random_restricted_cnf, satisfying_assignments,
-                     simplicial_vertices, verify_structure, with_graph)
+                     simplicial_vertices, verify_structure)
 
 SAMPLE_WITNESS = frozenset({5, 10, 11, 14, 18, 22, 23, 26, 34, 35, 36, 38})
 
@@ -50,6 +51,8 @@ def test_vertex_layout(sample_reduction):
         rg.vertex("x", 4)
     with pytest.raises(ValueError):
         rg.clause_vertex(0)
+    with pytest.raises(ValueError, match="unknown role kind 'q'"):
+        rg.vertex("q", 1)
 
 
 def test_gadget_edges_variable_1(sample_reduction):
@@ -207,7 +210,7 @@ def test_single_gadget_edge_deletion_is_detected(sample_reduction, sample_cnf):
     victim = (rg.vertex("z", 1), rg.vertex("x", 1))
     edges = [e for e in rg.graph.edges if e != victim]
     assert len(edges) == 143
-    mutated = with_graph(rg, Graph(rg.graph.vertex_count, edges))
+    mutated = replace(rg, graph=Graph(rg.graph.vertex_count, edges))
     structure_ok = verify_structure(mutated).passed
     forward_ok = all(is_hull_set(mutated.graph,
                                  assignment_to_hull_set(mutated, a))
@@ -220,7 +223,7 @@ def test_dependency_check_names_the_broken_dependency(sample_reduction):
     victim = (rg.vertex("xp", 1), rg.vertex("x1", 1))
     edges = [e for e in rg.graph.edges if e != victim]
     assert len(edges) == 143
-    report = verify_structure(with_graph(rg, Graph(rg.graph.vertex_count, edges)))
+    report = verify_structure(replace(rg, graph=Graph(rg.graph.vertex_count, edges)))
     failed = [c for c in report.checks if not c.passed]
     assert [c.name for c in failed] == ["gadget-dependencies"]
     assert failed[0].detail == "variable 1: xp is not in the interval of {x1, x2}"
@@ -239,7 +242,7 @@ def test_verify_structure_never_builds_the_betweenness_table(
     rg = sample_reduction
     monkeypatch.setattr(Graph, "between_table", _refuse_between_table)
     fresh = Graph(rg.graph.vertex_count, rg.graph.edges, rg.graph.vertex_names)
-    report = verify_structure(with_graph(rg, fresh))
+    report = verify_structure(replace(rg, graph=fresh))
     assert report.passed
     assert len(report.checks) == 9
 
@@ -249,7 +252,7 @@ def test_verify_structure_never_builds_the_distance_matrix(
     rg = sample_reduction
     monkeypatch.setattr(Graph, "distances", _refuse_distances)
     fresh = Graph(rg.graph.vertex_count, rg.graph.edges, rg.graph.vertex_names)
-    report = verify_structure(with_graph(rg, fresh))
+    report = verify_structure(replace(rg, graph=fresh))
     assert report.passed
     assert len(report.checks) == 9
 
@@ -260,7 +263,7 @@ def test_disconnected_mutant_gives_fail_lines(sample_reduction, monkeypatch):
     monkeypatch.setattr(Graph, "distances", _refuse_distances)
     isolated = rg.vertex("xbarpp", 1)
     edges = [e for e in rg.graph.edges if isolated not in e]
-    report = verify_structure(with_graph(rg, Graph(rg.graph.vertex_count, edges)))
+    report = verify_structure(replace(rg, graph=Graph(rg.graph.vertex_count, edges)))
     failed = [c.name for c in report.checks if not c.passed]
     assert failed == ["diameter", "hub-eccentricity", "cross-distances",
                       "simplicial", "variable-triples", "clause-regions",
@@ -280,8 +283,19 @@ def test_format_labels(sample_reduction):
     assert lines[15] == "15 y2"
 
 
-def test_vertex_names_match_roles(sample_reduction):
+def test_vertex_names_match_roles(sample_reduction, tiny_reduction):
     g = sample_reduction.graph
     assert g.name(5) == "z1"
     assert g.name(18) == "x2"
     assert g.name(38) == "xbarpp3"
+    for rg in (sample_reduction, tiny_reduction):
+        # With fewer than ten variables and clauses the index is the last
+        # character: "x11" is role x1 of variable 1.
+        assert rg.variable_count < 10 and rg.clause_count < 10
+        for v in range(rg.graph.vertex_count):
+            token = rg.role_token(v)
+            assert rg.graph.name(v) == token
+            assert rg.vertex(token[:-1], int(token[-1])) == v
+    for v in (-1, 39):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            sample_reduction.role_token(v)

@@ -1,14 +1,15 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from geohull import (BudgetExceeded, Disconnected, Graph, TooLarge,
-                     build_graph, build_reduction, gadget_edges,
+                     build_reduction, gadget_edges,
                      hull_number_at_most, hull_number_bruteforce,
                      hull_number_exact, is_concave, is_hull_set,
                      is_satisfiable, random_restricted_cnf,
-                     simplicial_vertices, with_graph)
+                     simplicial_vertices)
 from geohull.graph import mask_members, vertex_mask
 from geohull.reduction import _decide_with_paper_cores, _paper_cores
 from geohull.solver import _Search, _core_order
@@ -16,14 +17,14 @@ from helpers import random_connected_graph
 
 
 def test_path_endpoints():
-    g = build_graph(6, [(i, i + 1) for i in range(5)])
+    g = Graph(6, [(i, i + 1) for i in range(5)])
     result = hull_number_exact(g)
     assert result.hull_number == 2
     assert result.witness == {0, 5}
 
 
 def test_complete_graph_needs_everything():
-    g = build_graph(5, combinations(range(5), 2))
+    g = Graph(5, combinations(range(5), 2))
     result = hull_number_exact(g)
     assert result.hull_number == 5
     assert result.witness == {0, 1, 2, 3, 4}
@@ -42,19 +43,19 @@ def test_fig2_bruteforce(fig2):
 
 
 def test_cycle4_antipodal_pair():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert hull_number_bruteforce(g).witness == {0, 2}
     assert hull_number_exact(g).witness == {0, 2}
 
 
 def test_single_vertex():
-    g = build_graph(1, [])
+    g = Graph(1, [])
     assert hull_number_bruteforce(g).hull_number == 1
     assert hull_number_exact(g).hull_number == 1
 
 
 def test_disconnected_rejected():
-    g = build_graph(3, [(0, 1)])
+    g = Graph(3, [(0, 1)])
     with pytest.raises(Disconnected):
         hull_number_exact(g)
     with pytest.raises(Disconnected):
@@ -62,7 +63,7 @@ def test_disconnected_rejected():
 
 
 def test_bruteforce_cap():
-    g = build_graph(15, [(i, i + 1) for i in range(14)])
+    g = Graph(15, [(i, i + 1) for i in range(14)])
     with pytest.raises(TooLarge):
         hull_number_bruteforce(g)
     assert hull_number_bruteforce(g, max_vertices=15).hull_number == 2
@@ -70,7 +71,7 @@ def test_bruteforce_cap():
 
 def test_budget_exhaustion():
     # C4 has no simplicial vertices, so the search must actually branch.
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     with pytest.raises(BudgetExceeded) as info:
         hull_number_exact(g, node_budget=1)
     assert info.value.lower_bound >= 1
@@ -240,7 +241,7 @@ def test_seeded_search_drops_sets_that_are_not_concave(sample_reduction,
         for i in range(1, rg.variable_count + 1):
             for victim in gadget_edges(rg, i):
                 edges = [e for e in rg.graph.edges if e != victim]
-                mutant = with_graph(rg, Graph(rg.graph.vertex_count, edges))
+                mutant = replace(rg, graph=Graph(rg.graph.vertex_count, edges))
                 g = mutant.graph
                 if not g.is_connected:
                     continue
@@ -265,7 +266,7 @@ def test_seeded_search_drops_sets_that_are_not_concave(sample_reduction,
 
 def test_decision_rejects_disconnected():
     with pytest.raises(Disconnected):
-        hull_number_at_most(build_graph(3, [(0, 1)]), 3)
+        hull_number_at_most(Graph(3, [(0, 1)]), 3)
 
 
 # 16 vertices, h = 3, no simplicial vertex: proving h > 2 needs branching.
@@ -282,7 +283,7 @@ def test_decision_search_work():
     # most once because a failed sibling stays forbidden and every core is
     # cut to the allowed vertices.  Re-searching a sibling, or branching on
     # a forbidden vertex, costs more evaluations here.
-    g = build_graph(16, BRANCHING_EDGES)
+    g = Graph(16, BRANCHING_EDGES)
     assert hull_number_bruteforce(g, max_vertices=16).hull_number == 3
     assert hull_number_at_most(g, 2, node_budget=139).witness is None
     with pytest.raises(BudgetExceeded):
