@@ -17,6 +17,7 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, TooLarge
+from .graph import MAX_VERTICES
 
 Assignment = tuple[bool, ...]
 
@@ -196,9 +197,15 @@ def random_restricted_cnf(n: int, seed: int) -> RestrictedCnf:
     least-loaded clauses (ties shuffled by the seed).  Least-loaded filling
     keeps clause sizes within one of each other, so no clause exceeds three
     literals, none stays empty, and placement never deadlocks.
+
+    Raises TooLarge when 13n, the fewest vertices a reduction of it can
+    have, exceeds ``graph.MAX_VERTICES``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if 13 * n > MAX_VERTICES:
+        raise TooLarge(f"n = {n} gives a reduction of at least {13 * n} "
+                       f"vertices, over the cap of {MAX_VERTICES}")
     rng = random.Random(seed)
     m = rng.randint(max(3, n), 3 * n)
     loads = [0] * m

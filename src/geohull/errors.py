@@ -28,7 +28,7 @@ class NotAWitness(GeohullError):
 class TooLarge(GeohullError):
     """Input exceeds a size cap: the cap of an exhaustive enumeration
     (assignments, or subsets in the brute-force hull search) or the vertex
-    cap of the graph text format."""
+    cap of the graph text format, which reductions share."""
 
 
 class ParseError(GeohullError):

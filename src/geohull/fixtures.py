@@ -8,12 +8,12 @@ from .graph import Graph
 def small_chordal_graph() -> Graph:
     """Five-vertex chordal graph: path x1-x2-x3-t-z with chords x2-t and x3-z.
 
-    Its only simplicial vertices are x1 and z, its hull number is 2, and its
-    interval dependencies include ({x1,t} -> x2) and ({z,x2} -> x3) but not
-    ({z,t} -> x3), since z and t are adjacent.
+    Vertices 0-4 are x1, x2, x3, t, z.  Its only simplicial vertices are x1
+    and z, its hull number is 2, and its interval dependencies include
+    ({x1,t} -> x2) and ({z,x2} -> x3) but not ({z,t} -> x3), since z and t
+    are adjacent.
     """
-    names = {0: "x1", 1: "x2", 2: "x3", 3: "t", 4: "z"}
-    return Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3), (2, 4)], names)
+    return Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3), (2, 4)])
 
 
 FIXTURES = {

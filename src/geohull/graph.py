@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import Disconnected, InvalidEdge, ParseError, TooLarge
 
@@ -13,6 +13,9 @@ MAX_VERTICES = 1 << 16
 
 class Graph:
     """Undirected simple graph on vertices ``0 .. vertex_count-1``.
+
+    Vertices are bare indices with no names; what one stands for is read
+    off its owner's layout.  ``edge_list`` may be any iterable, read once.
 
     Instances are immutable after construction.  The constructor builds
     only the adjacency bitmasks (bit w of mask v is set when vw is an
@@ -30,13 +33,11 @@ class Graph:
     the text format byte-stable.
     """
 
-    __slots__ = ("vertex_count", "vertex_names",
-                 "_adj_mask", "_edges", "_layers", "_dist", "_between",
-                 "_connected")
+    __slots__ = ("vertex_count", "_adj_mask", "_edges", "_layers", "_dist",
+                 "_between", "_connected")
 
     def __init__(self, vertex_count: int,
-                 edge_list: Iterable[tuple[int, int]],
-                 vertex_names: Mapping[int, str] | None = None):
+                 edge_list: Iterable[tuple[int, int]]):
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
         masks = [0] * vertex_count
@@ -49,7 +50,6 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         self.vertex_count = vertex_count
-        self.vertex_names = dict(vertex_names) if vertex_names else {}
         self._adj_mask = tuple(masks)
         self._edges: tuple[tuple[int, int], ...] | None = None
         self._layers: tuple[tuple[int, ...], ...] | None = None
@@ -93,9 +93,6 @@ class Graph:
         """False, not an error, when either endpoint is out of range."""
         return (0 <= u < self.vertex_count and v >= 0
                 and bool(self._adj_mask[u] >> v & 1))
-
-    def name(self, v: int) -> str:
-        return self.vertex_names.get(v, str(v))
 
     def _sweep_layers(self) -> tuple[tuple[int, ...], ...]:
         """Bitmask BFS from every vertex at once: entry [u][k] holds the

@@ -14,15 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 from .chordal import is_perfect_elimination_ordering, simplicial_vertices
 from .cnf import (Assignment, RestrictedCnf, occurrence_table, satisfies,
                   is_satisfiable, validate_restricted)
 from .convexity import is_concave, is_hull_set
 from .errors import GeohullError, InvalidInstance, NotAWitness, TooLarge
-from .graph import (Graph, _check_vertex, diameter, eccentricity,
-                    vertex_mask)
+from .graph import (MAX_VERTICES, Graph, _check_vertex, diameter,
+                    eccentricity, vertex_mask)
 from .solver import HullDecision, _Search
 
 # Fixed per-variable role order; vertex layout is clause vertices first
@@ -49,6 +49,54 @@ def _role(clause_count: int, v: int) -> tuple[str, int]:
         return "c", v + 1
     block, offset = divmod(v - clause_count, BLOCK_SIZE)
     return ROLE_ORDER[offset], block + 1
+
+
+# The gadget wired for each variable, by role.  c_a and c_b are the clause
+# vertices of the two positive occurrences, c_c that of the negative one.
+GADGET_EDGES = (
+    # Positive side.  x sees z, y and its two clause vertices, so the
+    # pair {x, xbarpp} spans distance 3 through the hub.
+    ("x", "xp"), ("x", "z"), ("x", "y"), ("x", "c_a"), ("x", "c_b"),
+    # xp sees both supports, y and the same clause vertices.
+    ("xp", "x1"), ("xp", "x2"), ("xp", "y"), ("xp", "c_a"), ("xp", "c_b"),
+    # Each support hangs between its tip and one clause vertex.
+    ("x1", "xp1"), ("x1", "y"), ("x1", "c_a"),
+    ("x2", "xp2"), ("x2", "y"), ("x2", "c_b"),
+    # Tips touch only their support and y: simplicial by construction.
+    ("xp1", "y"), ("xp2", "y"),
+    # Negated side, one support level shorter: {xbar, xp1} spans
+    # distance 3.
+    ("xbar", "xbarp"), ("xbar", "z"), ("xbar", "ybar"), ("xbar", "c_c"),
+    ("xbarp", "xbarpp"), ("xbarp", "ybar"), ("xbarp", "c_c"),
+    ("xbarpp", "ybar"),
+)
+
+# The interval dependencies the gadget's edges are wired to create:
+# ((u, v), ws) says every w in ws lies on a shortest u-v path, so a hull
+# holding u and v recovers ws.
+GADGET_DEPENDENCIES = (
+    (("x", "xbarpp"), ("z", "ybar", "c_a", "c_b")),
+    (("xp", "z"), ("x",)),
+    (("x1", "x2"), ("xp",)),
+    (("xp1", "c_a"), ("x1",)),
+    (("xp2", "c_b"), ("x2",)),
+    (("xbarpp", "c_c"), ("xbarp",)),
+    (("xbarp", "z"), ("xbar",)),
+)
+
+# The gadget roles each occurrence adds to its clause's concave region.
+CLAUSE_REGION_ROLES = (("c_a", ("x", "xp", "x1")), ("c_b", ("x", "xp", "x2")),
+                       ("c_c", ("xbar", "xbarp")))
+
+
+def _gadget_vertices(clause_count: int, i: int,
+                     occurrence: tuple[int, int, int]) -> dict[str, int]:
+    """Vertex of each role of variable i's gadget, and of c_a, c_b and c_c
+    for its occurrence (pos1, pos2, neg) as 0-based clause indices."""
+    at = {kind: _vertex_index(clause_count, kind, i) for kind in ROLE_ORDER}
+    at.update((key, _vertex_index(clause_count, "c", j + 1))
+              for key, j in zip(("c_a", "c_b", "c_c"), occurrence))
+    return at
 
 
 def _hub(n: int, m: int) -> list[int]:
@@ -121,12 +169,10 @@ class ReductionGraph:
         pass over the occurrences."""
         m = self.clause_count
         regions = [{_vertex_index(m, "c", j)} for j in range(1, m + 1)]
-        for i, (a, b, c) in enumerate(self.occurrences, start=1):
-            x, xp = _vertex_index(m, "x", i), _vertex_index(m, "xp", i)
-            regions[a].update((x, xp, _vertex_index(m, "x1", i)))
-            regions[b].update((x, xp, _vertex_index(m, "x2", i)))
-            regions[c].update((_vertex_index(m, "xbar", i),
-                               _vertex_index(m, "xbarp", i)))
+        for i, occurrence in enumerate(self.occurrences, start=1):
+            at = _gadget_vertices(m, i, occurrence)
+            for clause, kinds in CLAUSE_REGION_ROLES:
+                regions[at[clause]].update(at[kind] for kind in kinds)
         return tuple(map(frozenset, regions))
 
     def clause_region(self, j: int) -> frozenset[int]:
@@ -164,71 +210,26 @@ def gadget_edges(rg: ReductionGraph, i: int) -> list[tuple[int, int]]:
     """The 26 gadget edges of variable i, normalized (min, max)."""
     if not 1 <= i <= rg.variable_count:
         raise ValueError(f"variable index {i} out of range")
-    a, b, c = rg.occurrences[i - 1]
-    edges = _variable_gadget(rg.clause_count, i, a, b, c)
-    return sorted((u, v) if u < v else (v, u) for u, v in edges)
-
-
-def _variable_gadget(m: int, i: int, a: int, b: int, c: int) -> list[tuple[int, int]]:
-    """Edges added for variable i whose positive literal sits in clauses
-    a and b and whose negation sits in clause c (all 0-based), in a
-    reduction with m clauses.
-
-    GADGET_DEPENDENCIES lists the intervals these edges are wired to create.
-    """
-    x, xp, x1, x2, xp1, xp2, xbar, xbarp, xbarpp, y, ybar, z = (
-        _vertex_index(m, kind, i)
-        for kind in ("x", "xp", "x1", "x2", "xp1", "xp2",
-                     "xbar", "xbarp", "xbarpp", "y", "ybar", "z"))
-    ca, cb, cc = (_vertex_index(m, "c", j + 1) for j in (a, b, c))
-    return [
-        # Positive side.  x sees z, y and its two clause vertices, so the
-        # pair {x, xbarpp} spans distance 3 through the hub.
-        (x, xp), (x, z), (x, y), (x, ca), (x, cb),
-        # xp sees both supports, y and the same clause vertices.
-        (xp, x1), (xp, x2), (xp, y), (xp, ca), (xp, cb),
-        # Each support hangs between its tip and one clause vertex.
-        (x1, xp1), (x1, y), (x1, ca),
-        (x2, xp2), (x2, y), (x2, cb),
-        # Tips touch only their support and y: simplicial by construction.
-        (xp1, y), (xp2, y),
-        # Negated side, one support level shorter: {xbar, xp1} spans
-        # distance 3.
-        (xbar, xbarp), (xbar, z), (xbar, ybar), (xbar, cc),
-        (xbarp, xbarpp), (xbarp, ybar), (xbarp, cc),
-        (xbarpp, ybar),
-    ]
-
-
-# The interval dependencies each variable's gadget is wired to create, by
-# role: ((u, v), ws) says every w in ws lies on a shortest u-v path, so a
-# hull holding u and v recovers ws.  c_a and c_b are the clause vertices of
-# the two positive occurrences, c_c that of the negative one.
-GADGET_DEPENDENCIES = (
-    (("x", "xbarpp"), ("z", "ybar", "c_a", "c_b")),
-    (("xp", "z"), ("x",)),
-    (("x1", "x2"), ("xp",)),
-    (("xp1", "c_a"), ("x1",)),
-    (("xp2", "c_b"), ("x2",)),
-    (("xbarpp", "c_c"), ("xbarp",)),
-    (("xbarp", "z"), ("xbar",)),
-)
+    at = _gadget_vertices(rg.clause_count, i, rg.occurrences[i - 1])
+    return sorted(tuple(sorted((at[p], at[q]))) for p, q in GADGET_EDGES)
 
 
 def build_reduction(cnf: RestrictedCnf) -> ReductionGraph:
-    """Build the reduction graph of a valid restricted instance."""
+    """Build the reduction graph of a valid restricted instance; TooLarge,
+    before any edge is generated, past ``graph.MAX_VERTICES`` vertices."""
     violations = validate_restricted(cnf)
     if violations:
         raise InvalidInstance("; ".join(violations))
     n, m = cnf.variable_count, cnf.clause_count
     vertex_count = BLOCK_SIZE * n + m
-
-    edges = list(combinations(_hub(n, m), 2))
-    for i, (a, b, c) in enumerate(occurrence_table(cnf), start=1):
-        edges.extend(_variable_gadget(m, i, a, b, c))
-
-    names = {v: "%s%d" % _role(m, v) for v in range(vertex_count)}
-    return ReductionGraph(Graph(vertex_count, edges, names), cnf)
+    if vertex_count > MAX_VERTICES:
+        raise TooLarge(f"reduction has {vertex_count} vertices, over the "
+                       f"cap of {MAX_VERTICES}")
+    gadgets = (_gadget_vertices(m, i, occurrence)
+               for i, occurrence in enumerate(occurrence_table(cnf), start=1))
+    edges = chain(combinations(_hub(n, m), 2),
+                  ((at[p], at[q]) for at in gadgets for p, q in GADGET_EDGES))
+    return ReductionGraph(Graph(vertex_count, edges), cnf)
 
 
 # -- witness translation ------------------------------------------------------
@@ -292,23 +293,29 @@ class StructureReport:
         return "\n".join(self.lines())
 
 
-def _layer_distance(layers: tuple[tuple[int, ...], ...], u: int, v: int) -> int:
-    """d(u, v): the index of u's distance layer that holds v."""
-    return next(k for k, layer in enumerate(layers[u]) if layer >> v & 1)
+def _layer_distance(g: Graph, u: int, v: int) -> int:
+    """d(u, v): the index of u's distance layer that holds v.  ValueError
+    when u or v is not a vertex of g."""
+    _check_vertex(g, u)
+    _check_vertex(g, v)
+    return next(k for k, layer in enumerate(g.distance_layers()[u])
+                if layer >> v & 1)
 
 
 def verify_structure(rg: ReductionGraph) -> StructureReport:
     """Run the nine structural checks the construction promises.
 
     Every check reads the graph's distance layers or its adjacency; neither
-    the distance matrix nor the betweenness table is built.
+    the distance matrix nor the betweenness table is built.  A check that
+    names a vertex the graph lacks reads FAIL, as does one whose metric is
+    undefined; no error escapes.
     """
     checks = []
 
     def record(name: str, fn):
         try:
             passed, detail = fn()
-        except GeohullError as exc:
+        except (GeohullError, ValueError) as exc:
             passed, detail = False, f"error: {exc}"
         checks.append(CheckResult(name, passed, detail))
 
@@ -330,11 +337,10 @@ def verify_structure(rg: ReductionGraph) -> StructureReport:
                          else f"hub vertices with eccentricity != 2: {bad}")
 
     def check_cross_distances():
-        layers = g.distance_layers()
         bad = []
         for i in range(1, n + 1):
             for p, q in (("x", "xbarp"), ("xbar", "xp1")):
-                d = _layer_distance(layers, rg.vertex(p, i), rg.vertex(q, i))
+                d = _layer_distance(g, rg.vertex(p, i), rg.vertex(q, i))
                 if d != 3:
                     bad.append((p, q, i))
         return not bad, ("dist(x_i, xbarp_i) = dist(xbar_i, xp1_i) = 3 for all i"
@@ -366,19 +372,16 @@ def verify_structure(rg: ReductionGraph) -> StructureReport:
                          else f"non-concave regions for clauses: {bad}")
 
     def check_dependencies():
-        layers = g.distance_layers()
         broken = []
-        for i, clauses in enumerate(rg.occurrences, start=1):
-            at = {key: rg.clause_vertex(j + 1)
-                  for key, j in zip(("c_a", "c_b", "c_c"), clauses)}
-            at.update((kind, rg.vertex(kind, i)) for kind in ROLE_ORDER)
+        for i, occurrence in enumerate(rg.occurrences, start=1):
+            at = _gadget_vertices(m, i, occurrence)
             for (p, q), recovered in GADGET_DEPENDENCIES:
                 u, v = at[p], at[q]
-                duv = _layer_distance(layers, u, v)
+                duv = _layer_distance(g, u, v)
                 for kind in recovered:
                     w = at[kind]
-                    if (_layer_distance(layers, u, w)
-                            + _layer_distance(layers, v, w) != duv):
+                    if (_layer_distance(g, u, w)
+                            + _layer_distance(g, v, w) != duv):
                         broken.append(f"variable {i}: {kind} is not in the "
                                       f"interval of {{{p}, {q}}}")
         total = n * sum(len(recovered) for _, recovered in GADGET_DEPENDENCIES)
@@ -395,7 +398,8 @@ def verify_structure(rg: ReductionGraph) -> StructureReport:
     record("clause-regions", check_regions)
     record("gadget-dependencies", check_dependencies)
 
-    notes = ("gadget size: each variable contributes 9 vertices and 26 edges",)
+    notes = (f"gadget size: each variable contributes {BLOCK_SIZE - 3} "
+             f"vertices and {len(GADGET_EDGES)} edges",)
     return StructureReport(tuple(checks), notes)
 
 

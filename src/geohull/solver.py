@@ -130,8 +130,7 @@ class _Search:
             extra += 1
             self.lower_bound = len(mandatory) + extra
             if extra == 3:
-                self.cores = self.concave_cores(start, start_members,
-                                                mask_members(allowed))
+                self.cores = self.concave_cores(start, start_members, allowed)
                 extra = max(extra, self.packing(start, allowed))
                 self.lower_bound = len(mandatory) + extra
             picks = self.first(start, start_members, allowed, extra)
@@ -150,8 +149,7 @@ class _Search:
         else:
             allowed = self.full & ~start
             if cores is None:
-                self.cores = self.concave_cores(start, start_members,
-                                                mask_members(allowed))
+                self.cores = self.concave_cores(start, start_members, allowed)
             else:
                 self.cores = sorted(
                     (core for core in cores
@@ -167,29 +165,21 @@ class _Search:
         return HullDecision(mandatory.union(picks), self.lower_bound)
 
     def concave_cores(self, start: int, start_members: list[int],
-                      candidates: list[int]) -> list[int]:
+                      allowed: int) -> list[int]:
         """Concave sets that miss ``start``, sorted by (size, mask).
 
-        ``start`` is hull(M).  For each candidate v outside every earlier
-        core, x grows from ``start`` by each other candidate whose hull with
-        x still misses v.  Then x is convex, so its complement, the core,
-        is concave and contains v.
+        ``start`` is hull(M).  Each candidate v in ``allowed`` outside every
+        earlier core gets the core ``grow_core`` builds to keep v out of
+        the convex set, so the core contains v.
         """
-        full = self.full
         cores = []
         covered = 0
-        for v in candidates:
-            if covered >> v & 1:
-                continue
-            x, members = start, start_members
-            for c in candidates:
-                if c != v and not x >> c & 1:
-                    grown, grown_members = self.close(x, members, 1 << c)
-                    if not grown >> v & 1:
-                        x, members = grown, grown_members
-            core = full & ~x
-            cores.append(core)
-            covered |= core
+        for v in mask_members(allowed):
+            if not covered >> v & 1:
+                core = self.grow_core(start, start_members,
+                                      allowed & ~(1 << v), 1 << v)
+                cores.append(core)
+                covered |= core
         return sorted(cores, key=_core_order)
 
     def packing(self, hull: int, allowed: int) -> int | None:
@@ -256,7 +246,8 @@ class _Search:
             return None
         core = next((core for core in self.cores if not core & hull), None)
         if core is None:
-            core = self.grow_core(hull, members, allowed)
+            core = self.grow_core(hull, members, allowed, self.full)
+            insort(self.cores, core, key=_core_order)
         for w in mask_members(core & allowed):
             grown, grown_members = self.close(hull, members, 1 << w)
             if grown == self.full:
@@ -269,21 +260,21 @@ class _Search:
             allowed &= ~(1 << w)
         return None
 
-    def grow_core(self, hull: int, members: list[int], allowed: int) -> int:
-        """A concave set that misses ``hull``, stored among the cores.
+    def grow_core(self, hull: int, members: list[int], allowed: int,
+                  keep: int) -> int:
+        """A concave set that misses ``hull`` and meets ``keep``.
 
-        x grows from ``hull`` by each allowed candidate that leaves it short
-        of the full set; x is convex, so its complement is concave.
+        x grows from ``hull`` by each allowed candidate, ascending, whose
+        hull with x does not hold all of ``keep``; x is convex, so its
+        complement is concave.
         """
         x = hull
         for c in mask_members(allowed):
             if not x >> c & 1:
                 grown, grown_members = self.close(x, members, 1 << c)
-                if grown != self.full:
+                if grown & keep != keep:
                     x, members = grown, grown_members
-        core = self.full & ~x
-        insort(self.cores, core, key=_core_order)
-        return core
+        return self.full & ~x
 
 
 def hull_number_exact(g: Graph, node_budget: int | None = None) -> HullNumberResult:

@@ -1,3 +1,5 @@
+import pytest
+
 import geohull
 
 REMOVED = ("DistanceMatrix", "build_graph", "distance_matrix", "with_graph")
@@ -16,3 +18,14 @@ def test_retired_wrappers_are_gone():
         assert not hasattr(geohull, name)
         assert not hasattr(geohull.graph, name)
         assert not hasattr(geohull.reduction, name)
+
+
+def test_graph_carries_no_vertex_names():
+    # A vertex's meaning is read off its owner's layout (for a reduction,
+    # ReductionGraph.role_token), never off the graph.
+    g = geohull.Graph(2, [(0, 1)])
+    for attr in ("name", "vertex_names"):
+        assert not hasattr(geohull.Graph, attr)
+        assert not hasattr(g, attr)
+    with pytest.raises(TypeError):
+        geohull.Graph(2, [(0, 1)], {0: "a", 1: "b"})

@@ -1,6 +1,7 @@
 import pytest
 
-from geohull import TooLarge, format_labels, parse_graph
+from geohull import (TooLarge, format_dimacs, format_labels, make_cnf,
+                     parse_graph)
 from geohull.cli import run
 
 FIG2_TEXT = "5 6\n0 1\n1 2\n1 3\n2 3\n2 4\n3 4\n"
@@ -233,6 +234,55 @@ def test_hostile_cnf_header_is_rejected_before_allocation(tmp_path, capsys,
     assert code == 3
     code, _ = invoke(capsys, "verify-reduction", "--cnf", str(path))
     assert code == 3
+
+
+def _cyclic_dimacs(n):
+    """n variables and n clauses: variable v positive in clauses v and v + 1
+    and negative in v + 2, mod n."""
+    clauses = [[] for _ in range(n)]
+    for v in range(n):
+        clauses[v].append(v + 1)
+        clauses[(v + 1) % n].append(v + 1)
+        clauses[(v + 2) % n].append(-(v + 1))
+    return format_dimacs(make_cnf(n, clauses))
+
+
+def test_reduction_over_the_vertex_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # A small, valid file whose reduction (13 * 5100 vertices) exceeds the
+    # graph cap: refused before the hub clique's 208M edges are generated.
+    import geohull.graph as graph_module
+    import geohull.reduction as reduction_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the graph was started")
+
+    monkeypatch.setattr(graph_module.Graph, "__init__", refuse)
+    monkeypatch.setattr(reduction_module, "combinations", refuse)
+    path = tmp_path / "cyclic.cnf"
+    path.write_text(_cyclic_dimacs(5100))
+    out_graph = tmp_path / "cyclic.g"
+    code = run(["reduce", "--cnf", str(path), "--out-graph", str(out_graph),
+                "--out-labels", str(tmp_path / "cyclic.labels")])
+    assert code == 3
+    assert "66300 vertices, over the cap of 65536" in capsys.readouterr().err
+    assert not out_graph.exists()
+    code = run(["verify-reduction", "--cnf", str(path)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "over the cap" in captured.err
+
+
+def test_gen_cnf_over_the_reduction_cap_exits_3(capsys, monkeypatch):
+    import geohull.cnf as cnf_module
+
+    def refuse(seed):
+        raise AssertionError("the generator was seeded")
+
+    monkeypatch.setattr(cnf_module.random, "Random", refuse)
+    code = run(["gen-cnf", "--n", "1000000000", "--seed", "1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "over the cap" in captured.err
 
 
 def test_hostile_graph_header_is_rejected_before_allocation(tmp_path, capsys,

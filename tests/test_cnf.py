@@ -139,3 +139,21 @@ def test_generator_always_valid():
 def test_generator_rejects_bad_n():
     with pytest.raises(ValueError):
         random_restricted_cnf(0, 1)
+
+
+def test_generator_refuses_n_over_the_reduction_cap(monkeypatch):
+    # A reduction has 12n + m >= 13n vertices; an n whose reduction cannot
+    # fit under the graph cap is refused before the generator is seeded.
+    import geohull.cnf as cnf_module
+
+    def refuse(seed):
+        raise AssertionError("the generator was seeded")
+
+    monkeypatch.setattr(cnf_module.random, "Random", refuse)
+    largest = cnf_module.MAX_VERTICES // 13
+    with pytest.raises(TooLarge, match="over the cap"):
+        random_restricted_cnf(largest + 1, 1)
+    with pytest.raises(TooLarge):
+        random_restricted_cnf(10 ** 9, 1)
+    with pytest.raises(AssertionError, match="the generator was seeded"):
+        random_restricted_cnf(largest, 1)

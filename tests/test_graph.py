@@ -24,7 +24,6 @@ def test_build_normalizes_and_deduplicates():
 def test_build_fig2(fig2):
     assert fig2.vertex_count == 5
     assert fig2.edges == ((0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
-    assert fig2.name(3) == "t"
 
 
 def test_self_loop_rejected():

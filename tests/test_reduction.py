@@ -1,8 +1,10 @@
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+import geohull.graph as graph_module
+import geohull.reduction as reduction_module
 from geohull import (EquivalenceReport, Graph, InvalidInstance, NotAWitness,
                      TooLarge, assignment_to_hull_set, build_reduction,
                      equivalence_check, format_labels, gadget_edges, hull,
@@ -65,6 +67,48 @@ def test_gadget_edges_variable_1(sample_reduction):
     ]
     assert len(edges) == 26
     assert set(edges) <= set(sample_reduction.graph.edges)
+
+
+def test_hub_and_gadgets_are_every_edge():
+    for n in range(1, 9):
+        for seed in range(3):
+            rg = build_reduction(random_restricted_cnf(n, seed))
+            edges = set(combinations(sorted(rg.hub_vertices()), 2))
+            for i in range(1, n + 1):
+                gadget = gadget_edges(rg, i)
+                assert len(gadget) == 26 and edges.isdisjoint(gadget)
+                edges.update(gadget)
+            assert sorted(edges) == list(rg.graph.edges)
+
+
+def _round_robin_cnf(n, m):
+    """Variable v (0-based) positive in clauses 3v and 3v + 1 and negative in
+    3v + 2, mod m: valid whenever n <= m <= 3n."""
+    clauses = [[] for _ in range(m)]
+    for t in range(3 * n):
+        v, slot = divmod(t, 3)
+        clauses[t % m].append(-(v + 1) if slot == 2 else v + 1)
+    return make_cnf(n, clauses)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the graph was started")
+
+
+def test_reduction_over_the_vertex_cap_is_refused_before_any_edge(
+        monkeypatch):
+    # 12n + m = cap starts the graph (refused here, as is the hub clique's
+    # edge stream, so that a regression cannot allocate); one more clause
+    # vertex raises TooLarge first.
+    cap = graph_module.MAX_VERTICES
+    monkeypatch.setattr(Graph, "__init__", _refuse)
+    monkeypatch.setattr(reduction_module, "combinations", _refuse)
+    at_cap = _round_robin_cnf(5000, cap - 12 * 5000)
+    over_cap = _round_robin_cnf(5000, cap - 12 * 5000 + 1)
+    with pytest.raises(AssertionError, match="the graph was started"):
+        build_reduction(at_cap)
+    with pytest.raises(TooLarge, match=f"{cap + 1} vertices"):
+        build_reduction(over_cap)
 
 
 def test_designated_simplicial(sample_reduction):
@@ -241,7 +285,7 @@ def test_verify_structure_never_builds_the_betweenness_table(
         sample_reduction, monkeypatch):
     rg = sample_reduction
     monkeypatch.setattr(Graph, "between_table", _refuse_between_table)
-    fresh = Graph(rg.graph.vertex_count, rg.graph.edges, rg.graph.vertex_names)
+    fresh = Graph(rg.graph.vertex_count, rg.graph.edges)
     report = verify_structure(replace(rg, graph=fresh))
     assert report.passed
     assert len(report.checks) == 9
@@ -251,7 +295,7 @@ def test_verify_structure_never_builds_the_distance_matrix(
         sample_reduction, monkeypatch):
     rg = sample_reduction
     monkeypatch.setattr(Graph, "distances", _refuse_distances)
-    fresh = Graph(rg.graph.vertex_count, rg.graph.edges, rg.graph.vertex_names)
+    fresh = Graph(rg.graph.vertex_count, rg.graph.edges)
     report = verify_structure(replace(rg, graph=fresh))
     assert report.passed
     assert len(report.checks) == 9
@@ -272,6 +316,36 @@ def test_disconnected_mutant_gives_fail_lines(sample_reduction, monkeypatch):
                if not c.passed and c.name != "simplicial")
 
 
+@pytest.mark.parametrize("dropped", [38, 0, 5])
+def test_short_graph_gives_fail_lines(sample_reduction, dropped):
+    # The sample minus one vertex, renumbered: vertex 38 (xbarpp3) of the
+    # layout is then missing, and every check that names it fails.
+    rg = sample_reduction
+    edges = [(u - (u > dropped), v - (v > dropped))
+             for u, v in rg.graph.edges if dropped not in (u, v)]
+    report = verify_structure(replace(rg, graph=Graph(38, edges)))
+    failed = {c.name: c.detail for c in report.checks if not c.passed}
+    assert failed["order"] == "38 vertices, expected 12n+m = 39"
+    assert {"elimination-ordering", "simplicial"} <= failed.keys()
+    assert failed["gadget-dependencies"] == \
+        "error: vertex 38 out of range for 38 vertices"
+    if dropped == 38:
+        assert len(failed) == 4
+
+
+def test_truncated_graph_gives_fail_lines(sample_reduction):
+    # Only the first 20 vertices: hub, triple and region checks name
+    # missing vertices too.
+    rg = sample_reduction
+    edges = [(u, v) for u, v in rg.graph.edges if v < 20]
+    report = verify_structure(replace(rg, graph=Graph(20, edges)))
+    failed = {c.name: c.detail for c in report.checks if not c.passed}
+    assert set(failed) == {c.name for c in report.checks} - {"diameter"}
+    for name in ("hub-eccentricity", "cross-distances", "variable-triples",
+                 "clause-regions", "gadget-dependencies"):
+        assert "out of range for 20 vertices" in failed[name]
+
+
 def test_format_labels(sample_reduction):
     lines = format_labels(sample_reduction).splitlines()
     assert len(lines) == 39
@@ -284,17 +358,12 @@ def test_format_labels(sample_reduction):
 
 
 def test_vertex_names_match_roles(sample_reduction, tiny_reduction):
-    g = sample_reduction.graph
-    assert g.name(5) == "z1"
-    assert g.name(18) == "x2"
-    assert g.name(38) == "xbarpp3"
     for rg in (sample_reduction, tiny_reduction):
         # With fewer than ten variables and clauses the index is the last
         # character: "x11" is role x1 of variable 1.
         assert rg.variable_count < 10 and rg.clause_count < 10
         for v in range(rg.graph.vertex_count):
             token = rg.role_token(v)
-            assert rg.graph.name(v) == token
             assert rg.vertex(token[:-1], int(token[-1])) == v
     for v in (-1, 39):
         with pytest.raises(ValueError, match=f"vertex {v} out of range"):

@@ -130,7 +130,7 @@ def root_cores(g):
     start, start_members = search.close(
         0, [], vertex_mask(g, simplicial_vertices(g)))
     search.cores = search.concave_cores(
-        start, start_members, mask_members(g.full_mask & ~start))
+        start, start_members, g.full_mask & ~start)
     return search.cores, search.packing(start, g.full_mask & ~start)
 
 
