@@ -198,8 +198,9 @@ def random_restricted_cnf(n: int, seed: int) -> RestrictedCnf:
     keeps clause sizes within one of each other, so no clause exceeds three
     literals, none stays empty, and placement never deadlocks.
 
-    Raises TooLarge when 13n, the fewest vertices a reduction of it can
-    have, exceeds ``graph.MAX_VERTICES``.
+    Raises TooLarge when the reduction's 12n + m vertices exceed
+    ``graph.MAX_VERTICES``: before seeding when even 13n, the fewest it can
+    have, does, and otherwise as soon as m is drawn.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -208,6 +209,9 @@ def random_restricted_cnf(n: int, seed: int) -> RestrictedCnf:
                        f"vertices, over the cap of {MAX_VERTICES}")
     rng = random.Random(seed)
     m = rng.randint(max(3, n), 3 * n)
+    if 12 * n + m > MAX_VERTICES:
+        raise TooLarge(f"n = {n} with m = {m} clauses gives a reduction of "
+                       f"{12 * n + m} vertices, over the cap of {MAX_VERTICES}")
     loads = [0] * m
     clauses: list[set[int]] = [set() for _ in range(m)]
     for var in range(1, n + 1):

@@ -17,6 +17,9 @@ of x.  Every core that misses hull(T) must be met by a pick from the
 allowed candidates, so each is cut to them.  An empty cut core kills the
 branch, and r picks cannot meet r + 1 pairwise disjoint cut cores, so a
 node whose greedy disjoint packing exceeds its remaining picks is dead.
+``_Search.hit`` is the one place that settles a node: a full hull is done
+with no further pick, a node with no pick left or with a packing above
+its picks fails, and any other node branches.
 
 The decision search behind ``hull_number_at_most(g, k)`` builds the cores
 at once and rejects when the root packing exceeds k - |M|.  Otherwise it
@@ -42,18 +45,19 @@ once hull(T) meets every stored core, ``grow_core`` adds a missing one.
 
 The exact search runs iterative deepening on the number r of picks beyond
 M.  Each round fixes its picks one at a time, smallest first: candidate w
-is fixed once some completion of T + w exists among the candidates above
-w and outside hull(T + w), found by the decision search or, for the last
-pick, by a plain scan for a full closure.  Smaller candidates were already
-refuted at this position, and the membership prune covers the rest, so
-the restriction loses nothing and the picks fixed are the
-lexicographically smallest minimum witness.  The completion found is kept,
-and the next position accepts its smallest pick without searching again.
-The cores wait until rounds 1 and 2 have failed: building them up front
+is fixed once ``hit`` finds some completion of T + w among the candidates
+above w and outside hull(T + w).  Smaller candidates were already refuted
+at this position, and the membership prune covers the rest, so the
+restriction loses nothing and the picks fixed are the lexicographically
+smallest minimum witness.  The completion found is kept, and the next
+position accepts its smallest pick without searching again.  The core
+build waits until rounds 1 and 2 have failed: building the cores up front
 doubles the solver's time on random graphs of up to 14 vertices, where
-most searches end within two rounds.  Their root packing then lets the
-rounds skip to a proven size, and raises the lower bound reported on an
-exhausted budget.  The search is sequential, so results are deterministic.
+most searches end within two rounds.  Round 2 may grow cores lazily, one
+per node whose hull meets every stored core, and the round-3 build
+replaces them.  Its root packing lets the rounds skip to a proven size,
+and raises the lower bound reported on an exhausted budget.  The search is
+sequential, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -144,22 +148,18 @@ class _Search:
         with ``is_concave`` first, and an empty or failing one is dropped.
         """
         mandatory, start, start_members = self.root()
-        if start == self.full:
-            picks = () if len(mandatory) <= k else None
+        allowed = self.full & ~start
+        if cores is None:
+            self.cores = self.concave_cores(start, start_members, allowed)
         else:
-            allowed = self.full & ~start
-            if cores is None:
-                self.cores = self.concave_cores(start, start_members, allowed)
-            else:
-                self.cores = sorted(
-                    (core for core in cores
-                     if core and is_concave(self.g, mask_members(core))),
-                    key=_core_order)
-            self.lower_bound = len(mandatory) + self.packing(start, allowed)
-            picks = None
-            if self.lower_bound <= k:
-                picks = self.hit(start, start_members, allowed,
-                                 k - len(mandatory))
+            self.cores = sorted(
+                (core for core in cores
+                 if core and is_concave(self.g, mask_members(core))),
+                key=_core_order)
+        self.lower_bound = len(mandatory) + self.packing(start, allowed)
+        picks = None
+        if self.lower_bound <= k:
+            picks = self.hit(start, start_members, allowed, k - len(mandatory))
         if picks is None:
             return HullDecision(None, max(self.lower_bound, k + 1))
         return HullDecision(mandatory.union(picks), self.lower_bound)
@@ -203,44 +203,42 @@ class _Search:
         return count
 
     def first(self, hull: int, members: list[int], allowed: int,
-              remaining: int):
+              remaining: int, known=()):
         """Lexicographically first ``remaining`` picks from ``allowed`` that
-        complete ``hull``, fixed smallest first, or None; no completion may
-        use fewer picks.
+        complete ``hull``, or None; no completion may use fewer picks.
+
+        The smallest w that ``hit`` completes from the candidates above it
+        is fixed, and the rest recursively.  ``known`` is the completion
+        found one position up; its smallest pick needs no search.
         """
-        full = self.full
-        picks = []
-        known = []
-        while hull != full:
-            for w in mask_members(allowed):
-                grown, grown_members = self.close(hull, members, 1 << w)
-                above = allowed & ~grown & -(2 << w)
-                if known and w == known[0]:
-                    rest = known[1:]
-                elif grown == full:
-                    rest = ()
-                elif remaining == 2:
-                    rest = self.first(grown, grown_members, above, 1)
-                elif remaining > 2:
-                    rest = self.hit(grown, grown_members, above, remaining - 1)
-                else:
-                    continue
-                if rest is not None:
-                    break
+        if hull == self.full:
+            return ()
+        for w in mask_members(allowed):
+            grown, grown_members = self.close(hull, members, 1 << w)
+            above = allowed & ~grown & -(2 << w)
+            if known and w == known[0]:
+                rest = known[1:]
             else:
-                return None
-            picks.append(w)
-            # The rest of a completion: once the next scan reaches its
-            # smallest pick, that pick is feasible without a search.
-            known = sorted(rest)
-            hull, members, allowed = grown, grown_members, above
-            remaining -= 1
-        return tuple(picks)
+                rest = self.hit(grown, grown_members, above, remaining - 1)
+            if rest is not None:
+                return (w,) + self.first(grown, grown_members, above,
+                                         remaining - 1, sorted(rest))
+        return None
 
     def hit(self, hull: int, members: list[int], allowed: int,
             remaining: int):
         """Some at most ``remaining`` picks from ``allowed`` that complete
-        ``hull``, or None; ``allowed`` is disjoint from ``hull``."""
+        ``hull``, or None; ``allowed`` is disjoint from ``hull``.
+
+        This is the one place a node is settled: a full hull needs no pick;
+        no pick left, an empty cut core or a packing above ``remaining``
+        fails; otherwise each member of the first core that the hull misses,
+        cut to ``allowed``, is a child.
+        """
+        if hull == self.full:
+            return ()
+        if remaining <= 0:
+            return None
         need = self.packing(hull, allowed)
         if need is None or need > remaining:
             return None
@@ -250,13 +248,10 @@ class _Search:
             insort(self.cores, core, key=_core_order)
         for w in mask_members(core & allowed):
             grown, grown_members = self.close(hull, members, 1 << w)
-            if grown == self.full:
-                return (w,)
-            if remaining > 1:
-                rest = self.hit(grown, grown_members, allowed & ~grown,
-                                remaining - 1)
-                if rest is not None:
-                    return (w,) + rest
+            rest = self.hit(grown, grown_members, allowed & ~grown,
+                            remaining - 1)
+            if rest is not None:
+                return (w,) + rest
             allowed &= ~(1 << w)
         return None
 

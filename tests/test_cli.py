@@ -285,6 +285,21 @@ def test_gen_cnf_over_the_reduction_cap_exits_3(capsys, monkeypatch):
     assert captured.out == "" and "over the cap" in captured.err
 
 
+def test_gen_cnf_with_a_drawn_m_over_the_reduction_cap_exits_3(capsys,
+                                                              monkeypatch):
+    # n = 5000 seed 0 draws m = 11311, so 12n + m is over the cap.
+    import geohull.cnf as cnf_module
+
+    def refuse(self, items):
+        raise AssertionError("clauses were placed")
+
+    monkeypatch.setattr(cnf_module.random.Random, "shuffle", refuse)
+    code = run(["gen-cnf", "--n", "5000", "--seed", "0"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "over the cap" in captured.err
+
+
 def test_hostile_graph_header_is_rejected_before_allocation(tmp_path, capsys,
                                                             monkeypatch):
     # A graph is never built from a header over the cap: a regression raises

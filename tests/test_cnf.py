@@ -53,6 +53,7 @@ def test_shared_positive_negative_clause():
 def test_literal_out_of_range():
     cnf = make_cnf(1, [[1], [1, 2], [-1]])
     assert any("out of range" in v for v in validate_restricted(cnf))
+    assert validate_restricted(make_cnf(0, [])) == ["variable count 0 < 1"]
 
 
 def test_occurrence_table(sample_cnf):
@@ -115,6 +116,9 @@ def test_format_dimacs_sorted(sample_cnf):
     "p cnf 1 -1\n",
     "p cnf 1 2\n1 0\np cnf 1 1\n",
     "p cnf 3 1\n3 0\np cnf 1 1\n",
+    "p cnf 3\n",
+    "p dnf 1 1\n1 0\n",
+    "c comment only\n",
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):
@@ -157,3 +161,19 @@ def test_generator_refuses_n_over_the_reduction_cap(monkeypatch):
         random_restricted_cnf(10 ** 9, 1)
     with pytest.raises(AssertionError, match="the generator was seeded"):
         random_restricted_cnf(largest, 1)
+
+
+def test_generator_refuses_a_drawn_m_over_the_reduction_cap(monkeypatch):
+    # n = 5000 passes the 13n check, but seed 0 draws m = 11311, so the
+    # reduction would have 71311 vertices; it is refused before any clause
+    # is placed.
+    import geohull.cnf as cnf_module
+
+    def refuse(self, items):
+        raise AssertionError("clauses were placed")
+
+    monkeypatch.setattr(cnf_module.random.Random, "shuffle", refuse)
+    with pytest.raises(TooLarge, match="m = 11311"):
+        random_restricted_cnf(5000, 0)
+    with pytest.raises(AssertionError, match="clauses were placed"):
+        random_restricted_cnf(3, 0)

@@ -168,6 +168,8 @@ def test_empty_graph_rejected():
         g.distance_layers()
     with pytest.raises(Disconnected):
         g.distances()
+    with pytest.raises(ValueError):
+        Graph(-1, [])
 
 
 def test_single_vertex():
@@ -320,6 +322,7 @@ def test_parse_skips_comments():
     "2 1\n0 0\n",
     "2 1\n0 5\n",
     "-1 0\n",
+    "3 1\n0 1 2\n",
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):

@@ -4,8 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from geohull import (BudgetExceeded, Disconnected, Graph, TooLarge,
-                     build_reduction, gadget_edges,
+from geohull import (BudgetExceeded, Disconnected, Graph, HullDecision,
+                     TooLarge, build_reduction, gadget_edges,
                      hull_number_at_most, hull_number_bruteforce,
                      hull_number_exact, is_concave, is_hull_set,
                      is_satisfiable, random_restricted_cnf,
@@ -83,6 +83,10 @@ def test_budget_large_enough(fig2):
     # already generate everything.
     assert hull_number_exact(fig2, node_budget=1).hull_number == 2
     assert hull_number_exact(fig2, node_budget=10_000).hull_number == 2
+    assert hull_number_at_most(fig2, 1, node_budget=1) == HullDecision(None, 2)
+    for k in range(2, 6):
+        assert (hull_number_at_most(fig2, k, node_budget=1)
+                == HullDecision(frozenset({0, 4}), 2))
 
 
 def test_oracle_agreement_random():
@@ -212,9 +216,15 @@ def test_decision_on_reductions(sample_reduction, tiny_reduction):
 
 
 def test_decision_agrees_on_criterion_3_seeds():
+    # The exact solves' hull evaluations are bounded as well (34,511 in
+    # all); a bound, not a pin, so a search that does less still passes.
+    evaluations = 0
     for seed in range(50):
         rg = build_reduction(random_restricted_cnf(seed % 5 + 1, seed))
-        check_decisions(rg.graph, hull_number_exact(rg.graph).hull_number)
+        search = _Search(rg.graph, None)
+        check_decisions(rg.graph, search.run().hull_number)
+        evaluations += search.evaluations
+    assert evaluations <= 40_000
 
 
 def test_paper_cores_are_the_root_cores():
@@ -262,6 +272,16 @@ def test_seeded_search_drops_sets_that_are_not_concave(sample_reduction,
                         assert decision.lower_bound <= len(witness), victim
                 dropped += len(bad)
     assert dropped == 48
+
+
+def test_no_pick_left_fails_the_node():
+    # A 4-cycle with a pendant vertex: M = {4} and h = 2.  Without cores to
+    # pack, "h <= 1" reaches a node with no pick left, which must fail
+    # rather than branch to a 2-vertex hull set.
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)])
+    decision = _Search(g, None).decide(1, [])
+    assert decision == HullDecision(None, 2)
+    assert decision.lower_bound == hull_number_bruteforce(g).hull_number
 
 
 def test_decision_rejects_disconnected():
