@@ -12,9 +12,8 @@ from .cnf import (Assignment, RestrictedCnf, format_dimacs, is_satisfiable,
                   make_cnf, occurrence_table, parse_dimacs,
                   random_restricted_cnf, satisfies, satisfying_assignments,
                   validate_restricted)
-from .convexity import (IntervalDependency, hull, interval,
-                        interval_dependencies, is_concave, is_convex,
-                        is_hull_set)
+from .convexity import (hull, interval, interval_dependencies, is_concave,
+                        is_convex, is_hull_set)
 from .errors import (BudgetExceeded, Disconnected, GeohullError,
                      InvalidEdge, InvalidInstance, InvalidOrdering,
                      NotAWitness, ParseError, TooLarge)
@@ -34,17 +33,17 @@ __version__ = "0.1.0"
 __all__ = [
     "Assignment", "BudgetExceeded", "CheckResult", "Disconnected",
     "EquivalenceReport", "GeohullError", "Graph", "HullDecision",
-    "HullNumberResult", "IntervalDependency", "InvalidEdge", "InvalidInstance",
-    "InvalidOrdering", "NotAWitness", "ParseError", "ReductionGraph",
-    "RestrictedCnf", "StructureReport", "TooLarge", "assignment_to_hull_set",
-    "build_reduction", "chordality", "diameter", "eccentricity",
-    "equivalence_check", "format_dimacs", "format_graph", "format_labels",
-    "gadget_edges", "hull", "hull_number_at_most", "hull_number_bruteforce",
-    "hull_number_exact", "hull_set_to_assignment", "induced_assignment",
-    "interval", "interval_dependencies", "is_clique", "is_concave",
-    "is_convex", "is_hull_set", "is_perfect_elimination_ordering",
-    "is_satisfiable", "is_simplicial", "make_cnf", "occurrence_table",
-    "parse_dimacs", "parse_graph", "random_restricted_cnf", "satisfies",
+    "HullNumberResult", "InvalidEdge", "InvalidInstance", "InvalidOrdering",
+    "NotAWitness", "ParseError", "ReductionGraph", "RestrictedCnf",
+    "StructureReport", "TooLarge", "assignment_to_hull_set", "build_reduction",
+    "chordality", "diameter", "eccentricity", "equivalence_check",
+    "format_dimacs", "format_graph", "format_labels", "gadget_edges", "hull",
+    "hull_number_at_most", "hull_number_bruteforce", "hull_number_exact",
+    "hull_set_to_assignment", "induced_assignment", "interval",
+    "interval_dependencies", "is_clique", "is_concave", "is_convex",
+    "is_hull_set", "is_perfect_elimination_ordering", "is_satisfiable",
+    "is_simplicial", "make_cnf", "occurrence_table", "parse_dimacs",
+    "parse_graph", "random_restricted_cnf", "satisfies",
     "satisfying_assignments", "simplicial_vertices", "small_chordal_graph",
     "validate_restricted", "verify_structure",
 ]

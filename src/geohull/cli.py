@@ -155,9 +155,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if cmd == "deps":
         g = _load_graph(args.graph)
-        for dep in convexity.interval_dependencies(g):
-            u, v = dep.premise
-            print(f"{{{u},{v}}} -> {dep.consequence}")
+        for (u, v), w in convexity.interval_dependencies(g):
+            print(f"{{{u},{v}}} -> {w}")
         return 0
 
     if cmd == "reduce":

@@ -8,7 +8,6 @@ lives in the test suite as an independent oracle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import Graph, mask_members, vertex_mask
@@ -112,19 +111,12 @@ def is_hull_set(g: Graph, vertices: Iterable[int]) -> bool:
     return hull_mask(g, vertex_mask(g, vertices)) == g.full_mask
 
 
-@dataclass(frozen=True)
-class IntervalDependency:
-    """A vertex forced by a pair: consequence lies between the premise pair."""
+def interval_dependencies(g: Graph) -> list[tuple[tuple[int, int], int]]:
+    """Every ``((u, v), w)`` with u < v and w strictly inside the interval
+    of {u, v}: the pair forces w into any convex set that holds both.
 
-    premise: tuple[int, int]
-    consequence: int
-
-
-def interval_dependencies(g: Graph) -> list[IntervalDependency]:
-    """Every ({u,v}, w) with w strictly inside the interval of {u, v}.
-
-    Emitted in ascending (u, v, w) order.  Adjacent pairs contribute
-    nothing: their interval is just the pair itself.
+    Emitted as plain tuples in ascending (u, v, w) order.  Adjacent pairs
+    contribute nothing: their interval is just the pair itself.
     """
     btw = g.between_table()
     n = g.vertex_count
@@ -134,5 +126,5 @@ def interval_dependencies(g: Graph) -> list[IntervalDependency]:
         for v in range(u + 1, n):
             inner = row[v] & ~((1 << u) | (1 << v))
             for w in mask_members(inner):
-                out.append(IntervalDependency((u, v), w))
+                out.append(((u, v), w))
     return out

@@ -129,19 +129,15 @@ class ReductionGraph:
         """The hull-number threshold: 4n."""
         return 4 * self.variable_count
 
-    def clause_vertex(self, j: int) -> int:
-        """Vertex of clause j (1-based)."""
-        if not 1 <= j <= self.clause_count:
-            raise ValueError(f"clause index {j} out of range")
-        return _vertex_index(self.clause_count, "c", j)
-
     def vertex(self, kind: str, i: int) -> int:
-        """Vertex of role ``kind`` for variable i (1-based)."""
+        """Vertex of role ``kind`` for variable i, or of clause i when
+        ``kind`` is "c" (1-based)."""
         if kind == "c":
-            return self.clause_vertex(i)
-        if kind not in _OFFSET:
+            if not 1 <= i <= self.clause_count:
+                raise ValueError(f"clause index {i} out of range")
+        elif kind not in _OFFSET:
             raise ValueError(f"unknown role kind {kind!r}")
-        if not 1 <= i <= self.variable_count:
+        elif not 1 <= i <= self.variable_count:
             raise ValueError(f"variable index {i} out of range")
         return _vertex_index(self.clause_count, kind, i)
 
@@ -178,7 +174,7 @@ class ReductionGraph:
     def clause_region(self, j: int) -> frozenset[int]:
         """The concave region of clause j: its vertex plus the gadget vertices
         that can pull it into a hull."""
-        return self._clause_regions[self.clause_vertex(j)]
+        return self._clause_regions[self.vertex("c", j)]
 
     def designated_simplicial(self) -> frozenset[int]:
         """The 3n gadget tips that are simplicial by construction."""

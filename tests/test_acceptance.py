@@ -9,7 +9,7 @@ import random
 import time
 from dataclasses import replace
 
-from geohull import (Graph, IntervalDependency, assignment_to_hull_set,
+from geohull import (Graph, assignment_to_hull_set,
                      build_reduction, chordality, equivalence_check,
                      gadget_edges, hull,
                      hull_number_bruteforce, hull_number_exact,
@@ -60,9 +60,9 @@ def test_criterion_1_fixture_facts():
     crit.check(brute.hull_number == 2 and brute.witness == {0, 4},
                f"brute force returned {brute}")
     deps = interval_dependencies(g)
-    crit.check(IntervalDependency((0, 3), 1) in deps, "missing {x1,t} -> x2")
-    crit.check(IntervalDependency((1, 4), 2) in deps, "missing {z,x2} -> x3")
-    crit.check(IntervalDependency((3, 4), 2) not in deps,
+    crit.check(((0, 3), 1) in deps, "missing {x1,t} -> x2")
+    crit.check(((1, 4), 2) in deps, "missing {z,x2} -> x3")
+    crit.check(((3, 4), 2) not in deps,
                "{z,t} -> x3 must not be emitted (z and t are adjacent)")
     crit.finish("h=2, witness {0,4}, 7 dependencies")
 

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import geohull
 from geohull import (TooLarge, format_dimacs, format_labels, make_cnf,
                      parse_graph)
 from geohull.cli import run
@@ -32,6 +37,12 @@ def test_fixture_fig2(capsys):
     code, out = invoke(capsys, "fixture", "fig2")
     assert code == 0
     assert out == FIG2_TEXT
+    # The same command through ``python -m geohull`` (``__main__`` and main).
+    src = os.path.dirname(os.path.dirname(geohull.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "geohull", "fixture", "fig2"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert (done.returncode, done.stdout) == (0, FIG2_TEXT)
 
 
 def test_fixture_to_file(tmp_path, capsys):

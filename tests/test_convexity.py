@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geohull import (Disconnected, Graph, IntervalDependency, gadget_edges,
-                     hull, interval, interval_dependencies, is_concave,
-                     is_convex, is_hull_set)
+from geohull import (Disconnected, Graph, gadget_edges, hull, interval,
+                     interval_dependencies, is_concave, is_convex,
+                     is_hull_set)
 from helpers import (hull_oracle, interval_oracle, random_connected_graph,
                      random_subset)
 
@@ -81,16 +81,16 @@ def test_disconnected_raises():
 def test_dependencies_fig2(fig2):
     deps = interval_dependencies(fig2)
     assert deps == [
-        IntervalDependency((0, 2), 1),
-        IntervalDependency((0, 3), 1),
-        IntervalDependency((0, 4), 1),
-        IntervalDependency((0, 4), 2),
-        IntervalDependency((0, 4), 3),
-        IntervalDependency((1, 4), 2),
-        IntervalDependency((1, 4), 3),
+        ((0, 2), 1),
+        ((0, 3), 1),
+        ((0, 4), 1),
+        ((0, 4), 2),
+        ((0, 4), 3),
+        ((1, 4), 2),
+        ((1, 4), 3),
     ]
     # z and t are adjacent, so nothing lies between them.
-    assert IntervalDependency((3, 4), 2) not in deps
+    assert ((3, 4), 2) not in deps
 
 
 def test_dependencies_complete_graph():

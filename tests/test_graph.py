@@ -24,6 +24,7 @@ def test_build_normalizes_and_deduplicates():
 def test_build_fig2(fig2):
     assert fig2.vertex_count == 5
     assert fig2.edges == ((0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
+    assert repr(fig2) == "Graph(5 vertices, 6 edges)"
 
 
 def test_self_loop_rejected():
@@ -80,6 +81,7 @@ def test_construction_matches_normalized_set_oracle():
             fewer = Graph(n, sorted(normalized)[1:])
             assert g != fewer
         assert g != Graph(n + 1, given)
+    assert Graph(2, [(0, 1)]) != "x"
 
 
 def test_out_of_range_vertices_are_rejected():

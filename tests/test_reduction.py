@@ -43,7 +43,7 @@ def test_hub_is_clique(sample_reduction):
 
 def test_vertex_layout(sample_reduction):
     rg = sample_reduction
-    assert rg.clause_vertex(1) == 0
+    assert rg.vertex("c", 1) == 0
     assert rg.vertex("y", 1) == 3
     assert rg.vertex("z", 1) == 5
     assert rg.vertex("x", 2) == 18
@@ -51,8 +51,9 @@ def test_vertex_layout(sample_reduction):
     assert rg.variable_triple(1) == (6, 5, 12)
     with pytest.raises(ValueError):
         rg.vertex("x", 4)
-    with pytest.raises(ValueError):
-        rg.clause_vertex(0)
+    for j in (0, rg.clause_count + 1):
+        with pytest.raises(ValueError, match=f"clause index {j} out of range"):
+            rg.vertex("c", j)
     with pytest.raises(ValueError, match="unknown role kind 'q'"):
         rg.vertex("q", 1)
 
@@ -67,6 +68,9 @@ def test_gadget_edges_variable_1(sample_reduction):
     ]
     assert len(edges) == 26
     assert set(edges) <= set(sample_reduction.graph.edges)
+    for i in (0, sample_reduction.variable_count + 1):
+        with pytest.raises(ValueError, match=f"variable index {i} out of range"):
+            gadget_edges(sample_reduction, i)
 
 
 def test_hub_and_gadgets_are_every_edge():
@@ -173,7 +177,7 @@ def test_falsifying_assignment_is_not_hull_set(sample_reduction):
     assert not is_hull_set(sample_reduction.graph, s)
     # the uncovered clause region is exactly what the hull misses
     missing = set(range(39)) - hull(sample_reduction.graph, s)
-    assert sample_reduction.clause_vertex(1) in missing
+    assert sample_reduction.vertex("c", 1) in missing
 
 
 def test_hull_set_to_assignment_round_trip(sample_reduction, sample_cnf):
@@ -217,6 +221,7 @@ def test_equivalence_sample(sample_cnf):
     assert lines[0] == "satisfiable=true"
     assert lines[1] == "h=12"
     assert lines[2] == "k=12"
+    assert str(report) == "\n".join(lines)
 
 
 def test_equivalence_tiny(tiny_cnf):
