@@ -20,16 +20,36 @@ def simplicial_vertices(g: Graph) -> frozenset[int]:
 
 
 def is_perfect_elimination_ordering(g: Graph, order: Iterable[int]) -> bool:
-    """Check that each vertex is simplicial among the vertices after it."""
+    """Check that each vertex is simplicial among the vertices after it.
+
+    The parent test of Rose, Tarjan & Lueker (1976): the ordering is
+    perfect exactly when, for each vertex v with a later neighbour, its
+    later neighbours other than its parent p, the earliest of them, are
+    all adjacent to p.  One pass over the order hands each vertex w the
+    earlier vertices it parents, those of ``adj[w] & before`` still
+    unparented, and tests each of them against w's closed neighbourhood:
+    one subset test per vertex.
+    """
     seq = tuple(order)
     if sorted(seq) != list(range(g.vertex_count)):
         raise InvalidOrdering(
             f"ordering is not a permutation of 0..{g.vertex_count - 1}")
-    remaining = g.full_mask
-    for v in seq:
-        remaining &= ~(1 << v)
-        if not _is_clique_mask(g, g.adjacency_mask(v) & remaining):
-            return False
+    before = 0
+    unparented = g.full_mask
+    for w in seq:
+        adj_w = g.adjacency_mask(w)
+        children = adj_w & before & unparented
+        if children:
+            unparented ^= children
+            # A child's later neighbours all lie at or after w, since w is
+            # the earliest of them; those off w's closed neighbourhood fail.
+            outside = ~(before | adj_w | 1 << w)
+            while children:
+                low = children & -children
+                if g.adjacency_mask(low.bit_length() - 1) & outside:
+                    return False
+                children ^= low
+        before |= 1 << w
     return True
 
 

@@ -8,6 +8,7 @@ subcommand, 2 unreadable or malformed input, 3 violated domain precondition
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -58,7 +59,10 @@ def _format_set(vertices) -> str:
     return ",".join(str(v) for v in sorted(vertices))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    ``run`` in the process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="geohull",
         description="Geodetic convexity toolkit: intervals, hulls, hull "

@@ -92,15 +92,16 @@ def is_concave(g: Graph, vertices: Iterable[int]) -> bool:
     shortest u-w path.  Conversely, let s' in S lie on a shortest u-v path
     with u, v outside; walking from s' toward v, the path leaves S along
     some edge sw, and u is strictly closer to s than to w because s comes
-    first on a shortest path from u.
+    first on a shortest path from u.  The rings start at k = 1: ring 0
+    is s itself, which lies in S.
     """
     mask = vertex_mask(g, vertices)
     layers = g.distance_layers()
     outside = g.full_mask & ~mask
     for s in mask_members(mask):
-        near = layers[s]
+        near = layers[s][1:]
         for w in mask_members(g.adjacency_mask(s) & outside):
-            for ring, farther in zip(near, layers[w][1:]):
+            for ring, farther in zip(near, layers[w][2:]):
                 if ring & farther & outside:
                     return False
     return True

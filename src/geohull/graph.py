@@ -98,26 +98,34 @@ class Graph:
         """Bitmask BFS from every vertex at once: entry [u][k] holds the
         vertices at distance k from u, within u's component.
 
-        The vertices within distance k + 1 of u are those within k of u or
-        of a neighbour of u, so each sweep ORs the neighbours' radius-k
-        balls into u's, and what is new is u's next layer.  A source drops
-        out once its ball stops growing.
+        Layer 1 is u's adjacency mask.  Beyond it, the vertices within
+        distance k + 1 of u are those within k of u or of a neighbour of u,
+        so each sweep ORs the neighbours' radius-k balls into u's, walking
+        the bits of u's adjacency mask in place, and what is new is u's next
+        layer.  A source drops out once its ball holds every vertex, or
+        stops growing, as it does in a disconnected graph.
         """
-        neighbours = [mask_members(mask) for mask in self._adj_mask]
-        balls = [1 << u for u in range(self.vertex_count)]
-        layers = [[ball] for ball in balls]
-        growing = range(self.vertex_count)
+        adj = self._adj_mask
+        full = self.full_mask
+        balls = [mask | 1 << u for u, mask in enumerate(adj)]
+        layers = [[1 << u, mask] if mask else [1 << u]
+                  for u, mask in enumerate(adj)]
+        growing = [u for u, ball in enumerate(balls) if ball != full]
         while growing:
             previous = balls[:]
             still = []
             for u in growing:
-                ball = previous[u]
-                for w in neighbours[u]:
-                    ball |= previous[w]
-                if ball != previous[u]:
-                    layers[u].append(ball ^ previous[u])
+                ball = old = previous[u]
+                rest = adj[u]
+                while rest:
+                    low = rest & -rest
+                    ball |= previous[low.bit_length() - 1]
+                    rest ^= low
+                if ball != old:
+                    layers[u].append(ball ^ old)
                     balls[u] = ball
-                    still.append(u)
+                    if ball != full:
+                        still.append(u)
             growing = still
         return tuple(map(tuple, layers))
 
@@ -273,8 +281,17 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
 #   <u> <v>          (one line per edge, 0-based)
 
 def format_graph(g: Graph) -> str:
-    lines = [f"{g.vertex_count} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    """The text format of g, edges in ``Graph.edges`` order.  Each vertex's
+    lines are written straight off the upper triangle of its adjacency
+    mask, so the edge tuple is not built."""
+    lines = [f"{g.vertex_count} {g.edge_count}"]
+    for u, mask in enumerate(g._adj_mask):
+        prefix, above = f"{u} ", u + 1
+        rest = mask >> above
+        while rest:
+            low = rest & -rest
+            lines.append(prefix + str(above + low.bit_length() - 1))
+            rest ^= low
     return "\n".join(lines) + "\n"
 
 

@@ -373,11 +373,18 @@ def verify_structure(rg: ReductionGraph) -> StructureReport:
             at = _gadget_vertices(m, i, occurrence)
             for (p, q), recovered in GADGET_DEPENDENCIES:
                 u, v = at[p], at[q]
-                duv = _layer_distance(g, u, v)
+                # Checks u and v, and the metric, before a layer is read.
+                d = _layer_distance(g, u, v)
+                layers = g.distance_layers()
+                lu, lv = layers[u], layers[v]
+                # I(u, v) = {u, v} | OR over 0 < k < d of L_k(u) & L_{d-k}(v).
+                interval = 1 << u | 1 << v
+                for k in range(1, d):
+                    interval |= lu[k] & lv[d - k]
                 for kind in recovered:
                     w = at[kind]
-                    if (_layer_distance(g, u, w)
-                            + _layer_distance(g, v, w) != duv):
+                    _check_vertex(g, w)
+                    if not interval >> w & 1:
                         broken.append(f"variable {i}: {kind} is not in the "
                                       f"interval of {{{p}, {q}}}")
         total = n * sum(len(recovered) for _, recovered in GADGET_DEPENDENCIES)

@@ -137,3 +137,35 @@ def test_clique_walks_match_pairwise_oracle():
             assert is_perfect_elimination_ordering(g, order) == expected
             outcomes["peo"].add(expected)
     assert all(seen == {False, True} for seen in outcomes.values())
+
+
+def _random_chordal_graph(rng, n):
+    """Each new vertex joins a nonempty part of an earlier clique, so the
+    reverse of the insertion order is a perfect elimination ordering."""
+    cliques = [(0,)]
+    edges = []
+    for v in range(1, n):
+        clique = rng.choice(cliques)
+        part = [u for u in clique if rng.random() < 0.6] or [rng.choice(clique)]
+        edges.extend((u, v) for u in part)
+        cliques.append(tuple(part) + (v,))
+    return Graph(n, edges)
+
+
+def test_parent_test_matches_pairwise_oracle_on_chordal_graphs():
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(200):
+        g = _random_chordal_graph(rng, rng.randint(1, 14))
+        n = g.vertex_count
+        assert chordality(g) is not None
+        orders = [tuple(reversed(range(n)))]
+        orders += [tuple(rng.sample(range(n), n)) for _ in range(5)]
+        for order in orders:
+            expected = all(
+                _pairwise_clique(g, [w for w in order[i + 1:]
+                                     if g.adjacent(v, w)])
+                for i, v in enumerate(order))
+            assert is_perfect_elimination_ordering(g, order) == expected
+            seen.add(expected)
+    assert seen == {False, True}

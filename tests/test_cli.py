@@ -176,6 +176,44 @@ def test_equiv_budget_counts_no_root_core_build(capsys, sample_cnf_file):
     assert "hull number is at least 12" in capsys.readouterr().err
 
 
+def _fresh_process(*argv):
+    src = os.path.dirname(os.path.dirname(geohull.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "geohull", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    return done.returncode, done.stdout
+
+
+def test_one_process_runs_match_fresh_processes(tmp_path, capsys, fig2_file,
+                                                sample_cnf_file):
+    # The parser is built once per process; parsing must leave it as new.
+    assert geohull.cli._build_parser() is geohull.cli._build_parser()
+    commands = [
+        ["verify-reduction", "--cnf", sample_cnf_file],
+        ["reduce", "--cnf", sample_cnf_file,
+         "--out-graph", str(tmp_path / "{}.g"),
+         "--out-labels", str(tmp_path / "{}.labels")],
+        ["hullnum", "--graph", fig2_file, "--budget", "50"],
+        ["chordal", "--graph", fig2_file],
+        ["verify-reduction", "--cnf", sample_cnf_file],
+    ]
+    for argv in commands:
+        in_process = invoke(capsys, *(a.format("same") for a in argv))
+        fresh = _fresh_process(*(a.format("fresh") for a in argv))
+        assert in_process == fresh
+    for suffix in ("g", "labels"):
+        assert ((tmp_path / f"same.{suffix}").read_text()
+                == (tmp_path / f"fresh.{suffix}").read_text())
+    # A usage error after a successful call is still a usage error, and the
+    # call after it still succeeds.
+    with pytest.raises(SystemExit) as info:
+        run(["hullnum", "--graph", fig2_file, "--budget", "-1"])
+    assert info.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+    assert invoke(capsys, "hullnum", "--graph", fig2_file) == \
+        (0, "h=2\nwitness=0,4\n")
+
+
 def test_gen_cnf_deterministic(capsys):
     first = invoke(capsys, "gen-cnf", "--n", "4", "--seed", "7")
     second = invoke(capsys, "gen-cnf", "--n", "4", "--seed", "7")

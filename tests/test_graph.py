@@ -7,7 +7,7 @@ from geohull import (Disconnected, Graph, InvalidEdge, ParseError,
                      build_reduction, diameter, eccentricity, format_graph,
                      is_clique, is_simplicial, parse_graph, verify_structure)
 from helpers import (bfs_levels, interval_oracle, path_enumeration_distance,
-                     random_connected_graph)
+                     random_connected_graph, random_graph)
 
 
 def test_build_path():
@@ -252,6 +252,36 @@ def test_metric_tables_match_bfs_and_interval_oracles(sample_reduction):
                 assert table[u][v] == expected
 
 
+def test_sweep_layers_match_per_source_bfs():
+    # Disconnected graphs and isolated vertices retire their sources when
+    # the balls stop growing; a universal vertex, K1 and K2 retire them at
+    # once, with a full ball.
+    rng = random.Random(53)
+    graphs = [Graph(1, []), Graph(2, []), Graph(2, [(0, 1)]),
+              Graph(5, [(0, v) for v in range(1, 5)]),
+              Graph(4, [(0, 1), (2, 3)]),
+              Graph(70, [(i, i + 1) for i in range(68)])]
+    graphs += [random_graph(rng, max_vertices=12) for _ in range(150)]
+    graphs += [random_graph(rng, min_vertices=60, max_vertices=80)
+               for _ in range(5)]
+    for g in list(graphs[:40]):
+        hub = g.vertex_count
+        graphs.append(Graph(hub + 1, list(g.edges)
+                            + [(v, hub) for v in range(hub)]))
+    connected = set()
+    for g in graphs:
+        layers = g._sweep_layers()
+        assert len(layers) == g.vertex_count
+        for u in range(g.vertex_count):
+            levels = bfs_levels(g, u)
+            expected = tuple(sum(1 << w for w, level in enumerate(levels)
+                                 if level == k)
+                             for k in range(max(levels) + 1))
+            assert layers[u] == expected
+        connected.add(g.is_connected)
+    assert connected == {False, True}
+
+
 def _distance_between_table(g):
     """I(u, v) from the distance matrix: w is in it iff
     d(u, w) + d(w, v) = d(u, v)."""
@@ -307,6 +337,19 @@ def test_round_trip_is_bit_exact(fig2):
     again = parse_graph(text)
     assert again == fig2
     assert format_graph(again) == text
+
+
+def test_format_graph_builds_no_edge_tuple(monkeypatch):
+    rng = random.Random(59)
+    cases = [(0, []), (1, [])]
+    cases += [(n, _messy_edge_list(rng, n))
+              for n in [rng.randint(1, 90) for _ in range(60)]]
+    monkeypatch.setattr(Graph, "edges", property(_refuse_edges))
+    for n, given in cases:
+        normalized = sorted({(min(u, v), max(u, v)) for u, v in given})
+        assert format_graph(Graph(n, given)) == "".join(
+            [f"{n} {len(normalized)}\n"]
+            + [f"{u} {v}\n" for u, v in normalized])
 
 
 def test_parse_skips_comments():

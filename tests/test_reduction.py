@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+import geohull.chordal as chordal_module
 import geohull.graph as graph_module
 import geohull.reduction as reduction_module
 from geohull import (EquivalenceReport, Graph, InvalidInstance, NotAWitness,
@@ -121,10 +122,20 @@ def test_designated_simplicial(sample_reduction):
     assert simplicial_vertices(sample_reduction.graph) == designated
 
 
-def test_elimination_ordering_is_peo(sample_reduction):
+def _refuse_clique_walk(g, mask):
+    raise AssertionError("a clique walk ran")
+
+
+def test_elimination_ordering_is_peo(sample_reduction, monkeypatch):
     order = sample_reduction.elimination_ordering()
     assert sorted(order) == list(range(39))
+    # The parent test makes one subset test per vertex and no clique walk.
+    monkeypatch.setattr(chordal_module, "_is_clique_mask", _refuse_clique_walk)
     assert is_perfect_elimination_ordering(sample_reduction.graph, order)
+    rg = build_reduction(random_restricted_cnf(20, 1))
+    assert is_perfect_elimination_ordering(rg.graph, rg.elimination_ordering())
+    assert not is_perfect_elimination_ordering(sample_reduction.graph,
+                                               order[::-1])
 
 
 def test_interval_reaches_z_and_ybar(sample_reduction):
