@@ -166,7 +166,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if cmd == "reduce":
         rg = build_reduction(_load_cnf(args.cnf))
         with open(args.out_graph, "w", encoding="utf-8") as handle:
-            handle.write(graphmod.format_graph(rg.graph))
+            handle.writelines(graphmod.format_graph_chunks(rg.graph))
         with open(args.out_labels, "w", encoding="utf-8") as handle:
             handle.write(format_labels(rg))
         print(f"vertices={rg.graph.vertex_count} "

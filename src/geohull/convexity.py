@@ -94,13 +94,22 @@ def is_concave(g: Graph, vertices: Iterable[int]) -> bool:
     some edge sw, and u is strictly closer to s than to w because s comes
     first on a shortest path from u.  The rings start at k = 1: ring 0
     is s itself, which lies in S.
+
+    Boundary edges whose outside end lies in the graph's stored clique K
+    need no test.  In the argument above, walk from s' toward u as well:
+    that walk leaves S along an edge s''w'' whose ring test v fails.  If w
+    and w'' both lay in K they would be adjacent, yet they are distinct
+    vertices of a shortest path with s'' and s between them, so two or
+    more steps apart on it, and a subpath of a shortest path is shortest.
+    So w or w'' lies outside K, and its edge is tested.
     """
     mask = vertex_mask(g, vertices)
     layers = g.distance_layers()
     outside = g.full_mask & ~mask
+    exits = outside & ~g._clique
     for s in mask_members(mask):
         near = layers[s][1:]
-        for w in mask_members(g.adjacency_mask(s) & outside):
+        for w in mask_members(g.adjacency_mask(s) & exits):
             for ring, farther in zip(near, layers[w][2:]):
                 if ring & farther & outside:
                     return False

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import Disconnected, InvalidEdge, ParseError, TooLarge
 
@@ -16,6 +16,16 @@ class Graph:
 
     Vertices are bare indices with no names; what one stands for is read
     off its owner's layout.  ``edge_list`` may be any iterable, read once.
+    The keyword ``clique`` names vertices that are pairwise adjacent
+    besides, given as members rather than as pairs: each member's mask is
+    ORed with the clique's mask, so a clique K costs O(|K|) big-int steps
+    instead of |K|(|K| - 1)/2 pairs.  Members are validated like edge
+    endpoints: InvalidEdge for one out of range or repeated.  The clique is
+    stored on the graph: the distance sweep shares its members' balls, and
+    the concavity test skips the boundary edges inside it.  It is an input
+    form only: ``==``, ``hash``, ``edges`` and the text format see the
+    same graph as one built from every pair, so a parsed graph, which has
+    no stored clique, gives the same answers.
 
     Instances are immutable after construction.  The constructor builds
     only the adjacency bitmasks (bit w of mask v is set when vw is an
@@ -33,11 +43,12 @@ class Graph:
     the text format byte-stable.
     """
 
-    __slots__ = ("vertex_count", "_adj_mask", "_edges", "_layers", "_dist",
-                 "_between", "_connected")
+    __slots__ = ("vertex_count", "_adj_mask", "_clique", "_edges", "_layers",
+                 "_dist", "_between", "_connected")
 
     def __init__(self, vertex_count: int,
-                 edge_list: Iterable[tuple[int, int]]):
+                 edge_list: Iterable[tuple[int, int]], *,
+                 clique: Iterable[int] = ()):
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
         masks = [0] * vertex_count
@@ -49,8 +60,20 @@ class Graph:
                     f"edge ({u},{v}) out of range for {vertex_count} vertices")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
+        members = tuple(clique)
+        clique_mask = 0
+        for v in members:
+            if not 0 <= v < vertex_count:
+                raise InvalidEdge(f"clique member {v} out of range for "
+                                  f"{vertex_count} vertices")
+            if clique_mask >> v & 1:
+                raise InvalidEdge(f"clique member {v} repeated")
+            clique_mask |= 1 << v
+        for v in members:
+            masks[v] |= clique_mask ^ 1 << v
         self.vertex_count = vertex_count
         self._adj_mask = tuple(masks)
+        self._clique = clique_mask
         self._edges: tuple[tuple[int, int], ...] | None = None
         self._layers: tuple[tuple[int, ...], ...] | None = None
         self._dist: tuple[tuple[int, ...], ...] | None = None
@@ -102,21 +125,32 @@ class Graph:
         distance k + 1 of u are those within k of u or of a neighbour of u,
         so each sweep ORs the neighbours' radius-k balls into u's, walking
         the bits of u's adjacency mask in place, and what is new is u's next
-        layer.  A source drops out once its ball holds every vertex, or
+        layer.  Every member of the stored clique sees all the others, so
+        the members' balls are ORed once per sweep and shared: a growing
+        member takes that union and walks only its neighbours outside the
+        clique.  A source drops out once its ball holds every vertex, or
         stops growing, as it does in a disconnected graph.
         """
         adj = self._adj_mask
         full = self.full_mask
+        clique = self._clique
+        members = mask_members(clique)
         balls = [mask | 1 << u for u, mask in enumerate(adj)]
         layers = [[1 << u, mask] if mask else [1 << u]
                   for u, mask in enumerate(adj)]
         growing = [u for u, ball in enumerate(balls) if ball != full]
         while growing:
             previous = balls[:]
+            shared = 0
+            for k in members:
+                shared |= previous[k]
             still = []
             for u in growing:
                 ball = old = previous[u]
                 rest = adj[u]
+                if clique >> u & 1:
+                    ball |= shared
+                    rest &= ~clique
                 while rest:
                     low = rest & -rest
                     ball |= previous[low.bit_length() - 1]
@@ -280,19 +314,24 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
 #   <vertex_count> <edge_count>
 #   <u> <v>          (one line per edge, 0-based)
 
-def format_graph(g: Graph) -> str:
-    """The text format of g, edges in ``Graph.edges`` order.  Each vertex's
-    lines are written straight off the upper triangle of its adjacency
-    mask, so the edge tuple is not built."""
-    lines = [f"{g.vertex_count} {g.edge_count}"]
+def format_graph_chunks(g: Graph) -> Iterator[str]:
+    """The text format of g in pieces: the header line, then one chunk per
+    vertex u holding the lines of u's edges to higher vertices, in
+    ``Graph.edges`` order.  Each chunk is written straight off the upper
+    triangle of u's adjacency mask, so neither the edge tuple nor the whole
+    text is held at once."""
+    yield f"{g.vertex_count} {g.edge_count}\n"
     for u, mask in enumerate(g._adj_mask):
-        prefix, above = f"{u} ", u + 1
-        rest = mask >> above
-        while rest:
-            low = rest & -rest
-            lines.append(prefix + str(above + low.bit_length() - 1))
-            rest ^= low
-    return "\n".join(lines) + "\n"
+        above = u + 1
+        ends = mask_members(mask >> above)
+        if ends:
+            prefix = f"{u} "
+            yield "".join([prefix + str(above + w) + "\n" for w in ends])
+
+
+def format_graph(g: Graph) -> str:
+    """The text format of g: ``format_graph_chunks`` joined."""
+    return "".join(format_graph_chunks(g))
 
 
 def parse_graph(text: str) -> Graph:
@@ -313,6 +352,8 @@ def parse_graph(text: str) -> Graph:
         raise ParseError(f"bad header line: {rows[0]!r}") from exc
     if vertex_count < 0:
         raise ParseError(f"negative vertex count: {rows[0]!r}")
+    if edge_count < 0:
+        raise ParseError(f"negative edge count: {rows[0]!r}")
     if vertex_count > MAX_VERTICES:
         raise TooLarge(f"vertex count {vertex_count} exceeds the cap of "
                        f"{MAX_VERTICES}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
 
 from .chordal import is_perfect_elimination_ordering, simplicial_vertices
 from .cnf import (Assignment, RestrictedCnf, occurrence_table, satisfies,
@@ -212,7 +211,12 @@ def gadget_edges(rg: ReductionGraph, i: int) -> list[tuple[int, int]]:
 
 def build_reduction(cnf: RestrictedCnf) -> ReductionGraph:
     """Build the reduction graph of a valid restricted instance; TooLarge,
-    before any edge is generated, past ``graph.MAX_VERTICES`` vertices."""
+    before any edge is generated, past ``graph.MAX_VERTICES`` vertices.
+
+    The hub is handed to ``Graph`` as its stored clique, m + 3n members,
+    and only the 26n gadget edges as pairs, in place of the hub's
+    quadratic pair count; the distance sweep and the concavity test then
+    treat the hub in bulk."""
     violations = validate_restricted(cnf)
     if violations:
         raise InvalidInstance("; ".join(violations))
@@ -223,9 +227,8 @@ def build_reduction(cnf: RestrictedCnf) -> ReductionGraph:
                        f"cap of {MAX_VERTICES}")
     gadgets = (_gadget_vertices(m, i, occurrence)
                for i, occurrence in enumerate(occurrence_table(cnf), start=1))
-    edges = chain(combinations(_hub(n, m), 2),
-                  ((at[p], at[q]) for at in gadgets for p, q in GADGET_EDGES))
-    return ReductionGraph(Graph(vertex_count, edges), cnf)
+    edges = ((at[p], at[q]) for at in gadgets for p, q in GADGET_EDGES)
+    return ReductionGraph(Graph(vertex_count, edges, clique=_hub(n, m)), cnf)
 
 
 # -- witness translation ------------------------------------------------------

@@ -298,7 +298,8 @@ def _cyclic_dimacs(n):
 
 def test_reduction_over_the_vertex_cap_exits_3(tmp_path, capsys, monkeypatch):
     # A small, valid file whose reduction (13 * 5100 vertices) exceeds the
-    # graph cap: refused before the hub clique's 208M edges are generated.
+    # graph cap: refused before the hub clique's members are listed or the
+    # graph is started.
     import geohull.graph as graph_module
     import geohull.reduction as reduction_module
 
@@ -306,7 +307,7 @@ def test_reduction_over_the_vertex_cap_exits_3(tmp_path, capsys, monkeypatch):
         raise AssertionError("the graph was started")
 
     monkeypatch.setattr(graph_module.Graph, "__init__", refuse)
-    monkeypatch.setattr(reduction_module, "combinations", refuse)
+    monkeypatch.setattr(reduction_module, "_hub", refuse)
     path = tmp_path / "cyclic.cnf"
     path.write_text(_cyclic_dimacs(5100))
     out_graph = tmp_path / "cyclic.g"

@@ -117,6 +117,36 @@ def test_concave_iff_complement_convex_on_random_graphs():
             assert is_concave(g, s) == is_convex(g, everything - s)
 
 
+class _RefusedRow:
+    def __getitem__(self, index):
+        raise AssertionError("a clique member's layers were read")
+
+
+def test_concave_with_a_stored_clique_matches_the_clique_as_pairs():
+    # The same graph built from the clique's pairs ring-tests every boundary
+    # edge.  With the clique stored, the edges into it are skipped, as
+    # is_concave's docstring proves they may be, so the layers of a member
+    # outside the set are never read: that is what spares the reduction's
+    # hub its quadratic count of ring tests.
+    rng = random.Random(43)
+    answers = []
+    for _ in range(200):
+        base = random_connected_graph(rng, min_vertices=4, max_vertices=14)
+        n = base.vertex_count
+        clique = rng.sample(range(n), rng.randint(3, n))
+        pairs = Graph(n, list(base.edges) + list(combinations(clique, 2)))
+        for _ in range(8):
+            s = random_subset(rng, range(n))
+            g = Graph(n, base.edges, clique=clique)
+            g._layers = tuple(_RefusedRow() if v in clique and v not in s
+                              else row
+                              for v, row in enumerate(g.distance_layers()))
+            answer = is_concave(g, s)
+            assert answer == is_concave(pairs, s), (pairs.edges, clique, s)
+            answers.append(answer)
+    assert set(answers) == {False, True}
+
+
 def test_concave_iff_complement_convex_on_sample_reduction(sample_reduction):
     rg = sample_reduction
     g = rg.graph

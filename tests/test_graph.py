@@ -111,6 +111,36 @@ def test_invalid_edge_names_the_first_bad_pair():
         assert str(info.value) == message
 
 
+def test_clique_input_matches_the_clique_given_as_pairs():
+    # The stored clique is an input form only: equality, hashing, the edge
+    # tuple and the text format see the graph built from every pair.
+    rng = random.Random(71)
+    for _ in range(60):
+        n = rng.randint(0, 70)
+        given = _messy_edge_list(rng, n)
+        clique = rng.sample(range(n), rng.randint(0, n))
+        g = Graph(n, given, clique=iter(clique))
+        pairs = Graph(n, given + list(combinations(clique, 2)))
+        assert g == pairs and hash(g) == hash(pairs)
+        assert g.edges == pairs.edges
+        assert g.edge_count == pairs.edge_count
+        assert format_graph(g) == format_graph(pairs)
+        assert g._clique == sum(1 << v for v in clique)
+        assert pairs._clique == 0
+
+
+def test_invalid_clique_member_is_named():
+    cases = [
+        ((0, 3), "clique member 3 out of range for 3 vertices"),
+        ((-1, 0), "clique member -1 out of range for 3 vertices"),
+        ((0, 2, 0), "clique member 0 repeated"),
+    ]
+    for clique, message in cases:
+        with pytest.raises(InvalidEdge) as info:
+            Graph(3, [(0, 1)], clique=clique)
+        assert str(info.value) == message
+
+
 def _refuse_edges(self):
     raise AssertionError("the edge tuple was built")
 
@@ -268,6 +298,19 @@ def test_sweep_layers_match_per_source_bfs():
         hub = g.vertex_count
         graphs.append(Graph(hub + 1, list(g.edges)
                             + [(v, hub) for v in range(hub)]))
+    # A stored clique shares its members' balls; beside it lie isolated
+    # vertices, other components, or edges that join it to the rest.
+    planted = [Graph(6, [(4, 5)], clique=[0, 1, 2]),
+               Graph(5, [(2, 3), (3, 4)], clique=(2, 0, 1)),
+               Graph(80, [(i, i + 1) for i in range(79)],
+                     clique=range(0, 80, 7))]
+    for _ in range(60):
+        base = random_graph(rng, min_vertices=3, max_vertices=14)
+        n = base.vertex_count
+        planted.append(Graph(n, base.edges,
+                             clique=rng.sample(range(n), rng.randint(3, n))))
+    assert {g.is_connected for g in planted} == {False, True}
+    graphs += planted
     connected = set()
     for g in graphs:
         layers = g._sweep_layers()
@@ -357,6 +400,12 @@ def test_parse_skips_comments():
     assert g == Graph(3, [(0, 1), (1, 2)])
 
 
+_PARSE_ERROR_MESSAGES = {
+    "-1 0\n": "negative vertex count: '-1 0'",
+    "3 -1\n": "negative edge count: '3 -1'",
+}
+
+
 @pytest.mark.parametrize("text", [
     "",
     "3\n",
@@ -367,10 +416,11 @@ def test_parse_skips_comments():
     "2 1\n0 0\n",
     "2 1\n0 5\n",
     "-1 0\n",
+    "3 -1\n",
     "3 1\n0 1 2\n",
 ])
 def test_parse_errors(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=_PARSE_ERROR_MESSAGES.get(text)):
         parse_graph(text)
 
 

@@ -86,6 +86,20 @@ def test_hub_and_gadgets_are_every_edge():
             assert sorted(edges) == list(rg.graph.edges)
 
 
+def test_hub_is_the_stored_clique_and_verifies_as_plain_pairs():
+    # A parsed reduction has no stored clique; the verifier must read the
+    # same lines off it as off the built one, which stores the hub.
+    for n in range(1, 9):
+        for seed in range(3):
+            rg = build_reduction(random_restricted_cnf(n, seed))
+            assert rg.graph._clique == sum(1 << v for v in rg.hub_vertices())
+            plain = replace(rg, graph=Graph(rg.graph.vertex_count,
+                                            rg.graph.edges))
+            assert plain.graph == rg.graph and plain.graph._clique == 0
+            assert (verify_structure(plain).lines()
+                    == verify_structure(rg).lines())
+
+
 def _round_robin_cnf(n, m):
     """Variable v (0-based) positive in clauses 3v and 3v + 1 and negative in
     3v + 2, mod m: valid whenever n <= m <= 3n."""
@@ -103,11 +117,11 @@ def _refuse(*args, **kwargs):
 def test_reduction_over_the_vertex_cap_is_refused_before_any_edge(
         monkeypatch):
     # 12n + m = cap starts the graph (refused here, as is the hub clique's
-    # edge stream, so that a regression cannot allocate); one more clause
+    # member list, so that a regression cannot allocate); one more clause
     # vertex raises TooLarge first.
     cap = graph_module.MAX_VERTICES
     monkeypatch.setattr(Graph, "__init__", _refuse)
-    monkeypatch.setattr(reduction_module, "combinations", _refuse)
+    monkeypatch.setattr(reduction_module, "_hub", _refuse)
     at_cap = _round_robin_cnf(5000, cap - 12 * 5000)
     over_cap = _round_robin_cnf(5000, cap - 12 * 5000 + 1)
     with pytest.raises(AssertionError, match="the graph was started"):

@@ -5,14 +5,16 @@ Usage, from the repository root::
     python3 tools/verify_scale.py --n 500 --seed 1
 
 Builds the reduction of ``random_restricted_cnf(n, seed)`` and measures
-five steps, each in its own forked child so that one step's peak does not
+six steps, each in its own forked child so that one step's peak does not
 hide the next one's:
 
 * ``build``: ``build_reduction`` of the generated instance;
 * ``sweep``: ``Graph.distance_layers()`` on the freshly built graph;
 * ``peo``: ``is_perfect_elimination_ordering`` of the staged ordering;
 * ``verify``: ``verify_structure``, with the layers already built;
-* ``format_graph``: the graph's text format.
+* ``format_graph``: the graph's text format, as one string;
+* ``write``: the same text written chunk by chunk to ``os.devnull``, as
+  ``geohull reduce`` writes its graph file (without the disk's cost).
 
 A child starts with the parent's memory and only its own pages count, so
 its peak-RSS growth is its ``ru_maxrss`` at the end less its resident set
@@ -36,6 +38,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 from geohull import (build_reduction, format_graph,  # noqa: E402
                      is_perfect_elimination_ordering, random_restricted_cnf,
                      verify_structure)
+from geohull.graph import format_graph_chunks  # noqa: E402
 
 
 def _rss_mb() -> float:
@@ -72,6 +75,12 @@ def _measure(step):
     return json.loads(text)
 
 
+def _write(g) -> None:
+    """Stream g's text format to the null device, as ``reduce`` writes it."""
+    with open(os.devnull, "w", encoding="ascii") as sink:
+        sink.writelines(format_graph_chunks(g))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--n", type=int, required=True, help="variables")
@@ -87,12 +96,13 @@ def main() -> None:
     results["peo"] = _measure(
         lambda: is_perfect_elimination_ordering(g, rg.elimination_ordering()))
     results["format_graph"] = _measure(lambda: len(format_graph(g)))
+    results["write"] = _measure(lambda: _write(g))
     g.distance_layers()
     results["verify"] = _measure(lambda: verify_structure(rg).lines())
 
     print(f"n={args.n} seed={args.seed} m={cnf.clause_count} "
           f"vertices={g.vertex_count} edges={g.edge_count}")
-    for name in ("build", "sweep", "peo", "verify", "format_graph"):
+    for name in ("build", "sweep", "peo", "verify", "format_graph", "write"):
         seconds, growth, _ = results[name]
         print(f"{name:>12}: {seconds:8.3f} s  peak-RSS growth {growth:7.1f} MB")
     for line in results["verify"][2]:
