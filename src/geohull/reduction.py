@@ -98,13 +98,16 @@ def _gadget_vertices(clause_count: int, i: int,
     return at
 
 
+def _roles(n: int, m: int, kinds: tuple[str, ...]) -> list[int]:
+    """The vertices of the given role kinds, variable by variable, in the
+    order of ``kinds`` within each variable."""
+    return [_vertex_index(m, kind, i) for i in range(1, n + 1) for kind in kinds]
+
+
 def _hub(n: int, m: int) -> list[int]:
     """The hub clique in ascending order: every clause vertex, then the y,
     ybar and z vertices of each variable."""
-    hub = [_vertex_index(m, "c", j) for j in range(1, m + 1)]
-    for i in range(1, n + 1):
-        hub.extend(_vertex_index(m, kind, i) for kind in ("y", "ybar", "z"))
-    return hub
+    return list(range(m)) + _roles(n, m, ("y", "ybar", "z"))
 
 
 @dataclass(frozen=True)
@@ -177,12 +180,8 @@ class ReductionGraph:
 
     def designated_simplicial(self) -> frozenset[int]:
         """The 3n gadget tips that are simplicial by construction."""
-        m = self.clause_count
-        out = set()
-        for i in range(1, self.variable_count + 1):
-            out.update(_vertex_index(m, kind, i)
-                       for kind in ("xp1", "xp2", "xbarpp"))
-        return frozenset(out)
+        return frozenset(_roles(self.variable_count, self.clause_count,
+                                ("xp1", "xp2", "xbarpp")))
 
     def elimination_ordering(self) -> tuple[int, ...]:
         """The staged ordering that witnesses chordality.
@@ -191,14 +190,10 @@ class ReductionGraph:
         hub clique last; ascending variable index within each stage.
         """
         n, m = self.variable_count, self.clause_count
-        order: list[int] = []
         stages = (("xp1", "xp2", "xbarpp"), ("x1", "x2", "xbarp"),
                   ("xp",), ("x", "xbar"))
-        for stage in stages:
-            for i in range(1, n + 1):
-                order.extend(_vertex_index(m, kind, i) for kind in stage)
-        order.extend(_hub(n, m))
-        return tuple(order)
+        order = [v for stage in stages for v in _roles(n, m, stage)]
+        return tuple(order + _hub(n, m))
 
 
 def gadget_edges(rg: ReductionGraph, i: int) -> list[tuple[int, int]]:

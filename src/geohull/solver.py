@@ -97,6 +97,8 @@ def _core_order(core: int) -> tuple[int, int]:
 
 class _Search:
     def __init__(self, g: Graph, node_budget: int | None):
+        if not g.is_connected:
+            raise Disconnected("hull number is defined for connected graphs only")
         self.g = g
         self.full = g.full_mask
         self.btw = g.between_table()
@@ -118,16 +120,16 @@ class _Search:
             )
         return extend_hull_mask(self.btw, self.full, base, base_members, add)
 
-    def root(self) -> tuple[frozenset[int], int, list[int]]:
-        """M, hull(M) and its members; the lower bound becomes max(|M|, 1)."""
+    def root(self) -> tuple[frozenset[int], int, list[int], int]:
+        """M, hull(M), its members and the candidates outside it; the lower
+        bound becomes max(|M|, 1)."""
         mandatory = simplicial_vertices(self.g)
         self.lower_bound = max(len(mandatory), 1)
         start, start_members = self.close(0, [], vertex_mask(self.g, mandatory))
-        return mandatory, start, start_members
+        return mandatory, start, start_members, self.full & ~start
 
     def run(self) -> HullNumberResult:
-        mandatory, start, start_members = self.root()
-        allowed = self.full & ~start
+        mandatory, start, start_members, allowed = self.root()
         extra = 0
         picks = () if start == self.full else None
         while picks is None:
@@ -147,8 +149,7 @@ class _Search:
         concave, used in place of the root core build.  Each is checked
         with ``is_concave`` first, and an empty or failing one is dropped.
         """
-        mandatory, start, start_members = self.root()
-        allowed = self.full & ~start
+        mandatory, start, start_members, allowed = self.root()
         if cores is None:
             self.cores = self.concave_cores(start, start_members, allowed)
         else:
@@ -280,8 +281,6 @@ def hull_number_exact(g: Graph, node_budget: int | None = None) -> HullNumberRes
     ``node_budget`` caps the number of hull evaluations; exceeding it
     raises BudgetExceeded carrying the best proven lower bound.
     """
-    if not g.is_connected:
-        raise Disconnected("hull number is defined for connected graphs only")
     return _Search(g, node_budget).run()
 
 
@@ -292,8 +291,6 @@ def hull_number_at_most(g: Graph, k: int,
     The witness is not necessarily minimum.  ``node_budget`` caps the number
     of hull evaluations as in ``hull_number_exact``.
     """
-    if not g.is_connected:
-        raise Disconnected("hull number is defined for connected graphs only")
     return _Search(g, node_budget).decide(k)
 
 
@@ -305,11 +302,11 @@ def hull_number_bruteforce(g: Graph, max_vertices: int = 14) -> HullNumberResult
     if n > max_vertices:
         raise TooLarge(f"{n} vertices exceeds the brute-force cap of {max_vertices}")
     full = g.full_mask
-    for size in range(1, n + 1):
+    for size in range(1, n):
         for subset in combinations(range(n), size):
             mask = 0
             for v in subset:
                 mask |= 1 << v
             if hull_mask(g, mask) == full:
                 return HullNumberResult(size, frozenset(subset))
-    raise AssertionError("the full vertex set is always a hull set")
+    return HullNumberResult(n, frozenset(range(n)))

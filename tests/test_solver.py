@@ -25,9 +25,9 @@ def test_path_endpoints():
 
 def test_complete_graph_needs_everything():
     g = Graph(5, combinations(range(5), 2))
-    result = hull_number_exact(g)
-    assert result.hull_number == 5
-    assert result.witness == {0, 1, 2, 3, 4}
+    for result in (hull_number_exact(g), hull_number_bruteforce(g)):
+        assert result.hull_number == 5
+        assert result.witness == {0, 1, 2, 3, 4}
 
 
 def test_fig2_exact(fig2):
@@ -54,10 +54,19 @@ def test_single_vertex():
     assert hull_number_exact(g).hull_number == 1
 
 
-def test_disconnected_rejected():
+def test_disconnected_rejected(tiny_reduction):
     g = Graph(3, [(0, 1)])
-    with pytest.raises(Disconnected):
-        hull_number_exact(g)
+    # Vertex 14 (xbarpp1) loses every edge: the seeded search rejects it
+    # with the same words as the other entries.
+    edges = [e for e in tiny_reduction.graph.edges if 14 not in e]
+    mutant = replace(tiny_reduction, graph=Graph(15, edges))
+    for search in (lambda: hull_number_exact(g),
+                   lambda: hull_number_at_most(g, 3),
+                   lambda: _decide_with_paper_cores(mutant)):
+        with pytest.raises(
+                Disconnected,
+                match="hull number is defined for connected graphs only"):
+            search()
     with pytest.raises(Disconnected):
         hull_number_bruteforce(g)
 

@@ -5,7 +5,7 @@ Usage, from the repository root::
     python3 tools/verify_scale.py --n 500 --seed 1
 
 Builds the reduction of ``random_restricted_cnf(n, seed)`` and measures
-six steps, each in its own forked child so that one step's peak does not
+seven steps, each in its own forked child so that one step's peak does not
 hide the next one's:
 
 * ``build``: ``build_reduction`` of the generated instance;
@@ -14,7 +14,9 @@ hide the next one's:
 * ``verify``: ``verify_structure``, with the layers already built;
 * ``format_graph``: the graph's text format, as one string;
 * ``write``: the same text written chunk by chunk to ``os.devnull``, as
-  ``geohull reduce`` writes its graph file (without the disk's cost).
+  ``geohull reduce`` writes its graph file (without the disk's cost);
+* ``parse``: ``parse_graph`` of that text, made before the child starts so
+  that only the parse counts.
 
 A child starts with the parent's memory and only its own pages count, so
 its peak-RSS growth is its ``ru_maxrss`` at the end less its resident set
@@ -36,8 +38,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from geohull import (build_reduction, format_graph,  # noqa: E402
-                     is_perfect_elimination_ordering, random_restricted_cnf,
-                     verify_structure)
+                     is_perfect_elimination_ordering, parse_graph,
+                     random_restricted_cnf, verify_structure)
 from geohull.graph import format_graph_chunks  # noqa: E402
 
 
@@ -97,12 +99,15 @@ def main() -> None:
         lambda: is_perfect_elimination_ordering(g, rg.elimination_ordering()))
     results["format_graph"] = _measure(lambda: len(format_graph(g)))
     results["write"] = _measure(lambda: _write(g))
+    text = format_graph(g)
+    results["parse"] = _measure(lambda: parse_graph(text).edge_count)
     g.distance_layers()
     results["verify"] = _measure(lambda: verify_structure(rg).lines())
 
     print(f"n={args.n} seed={args.seed} m={cnf.clause_count} "
           f"vertices={g.vertex_count} edges={g.edge_count}")
-    for name in ("build", "sweep", "peo", "verify", "format_graph", "write"):
+    for name in ("build", "sweep", "peo", "verify", "format_graph", "write",
+                 "parse"):
         seconds, growth, _ = results[name]
         print(f"{name:>12}: {seconds:8.3f} s  peak-RSS growth {growth:7.1f} MB")
     for line in results["verify"][2]:
