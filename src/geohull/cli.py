@@ -37,14 +37,22 @@ def _budget(text: str) -> int:
     return budget
 
 
-def _load_graph(path: str) -> graphmod.Graph:
+def _read_text(path: str) -> str:
+    """The file's text.  Bytes that are not UTF-8 raise ParseError (exit 2),
+    not UnicodeDecodeError, a ValueError that ``run`` maps to exit 3."""
     with open(path, "r", encoding="utf-8") as handle:
-        return graphmod.parse_graph(handle.read())
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _load_graph(path: str) -> graphmod.Graph:
+    return graphmod.parse_graph(_read_text(path))
 
 
 def _load_cnf(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_dimacs(handle.read())
+    return parse_dimacs(_read_text(path))
 
 
 def _parse_set(text: str) -> list[int]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+from itertools import chain, compress
 from typing import Iterable, Iterator
 
 from .errors import Disconnected, InvalidEdge, ParseError, TooLarge
@@ -9,6 +11,16 @@ from .errors import Disconnected, InvalidEdge, ParseError, TooLarge
 # Largest vertex count parse_graph accepts.  A header is checked against it
 # before any per-vertex allocation, so a hostile one cannot exhaust memory.
 MAX_VERTICES = 1 << 16
+
+# parse_graph splits its text in blocks that end at the first line break
+# after this many characters, about 550 edge lines of a reduction.
+_BLOCK_CHARS = 1 << 12
+
+# A line break as str.splitlines knows it, "\r\n" as one.
+_LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+# bytes.translate table from the digits of bin() to the bytes 0 and 1.
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 class Graph:
@@ -317,16 +329,23 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
 def format_graph_chunks(g: Graph) -> Iterator[str]:
     """The text format of g in pieces: the header line, then one chunk per
     vertex u holding the lines of u's edges to higher vertices, in
-    ``Graph.edges`` order.  Each chunk is written straight off the upper
-    triangle of u's adjacency mask, so neither the edge tuple nor the whole
-    text is held at once."""
+    ``Graph.edges`` order.
+
+    Each chunk is written off u's adjacency mask with no Python step per
+    edge: the mask's bits above u, as 0/1 bytes, select the ``"v\\n"``
+    strings of u's higher neighbours from a table built once per call
+    (``itertools.compress``), and ``prefix.join`` puts ``"u "`` before
+    each.  Neither the edge tuple nor the whole text is held at once."""
     yield f"{g.vertex_count} {g.edge_count}\n"
+    ends = [f"{v}\n" for v in range(g.vertex_count)]
     for u, mask in enumerate(g._adj_mask):
-        above = u + 1
-        ends = mask_members(mask >> above)
-        if ends:
+        upper = mask >> (u + 1)
+        if upper:
+            # flags[i] is 1 when u + 1 + i is a neighbour of u, else 0.
+            flags = bin(upper)[:1:-1].encode().translate(_BIT_FLAGS)
             prefix = f"{u} "
-            yield "".join([prefix + str(above + w) + "\n" for w in ends])
+            yield prefix + prefix.join(
+                compress(ends[u + 1:u + 1 + len(flags)], flags))
 
 
 def format_graph(g: Graph) -> str:
@@ -334,42 +353,114 @@ def format_graph(g: Graph) -> str:
     return "".join(format_graph_chunks(g))
 
 
+def _text_blocks(text: str) -> Iterator[tuple[list[str], list[list[str]]]]:
+    """The text's content lines, one block of about _BLOCK_CHARS characters
+    at a time: per block, the lines that are neither blank nor comments,
+    and each one's tokens.
+
+    A block ends just after a line break (``_LINE_BREAK``, which takes
+    ``\\r\\n`` whole), so no line is cut, and ``splitlines`` of the blocks
+    gives the lines of the whole text, whichever breaks it uses.  A token
+    list is empty for a blank line and starts with ``#`` for a comment; a
+    block with neither keeps every line as it is.
+    """
+    start, size = 0, len(text)
+    while start < size:
+        cut = _LINE_BREAK.search(text, start + _BLOCK_CHARS)
+        end = cut.end() if cut else size
+        block = text[start:end]
+        lines = block.splitlines()
+        rows = list(map(str.split, lines))
+        if "#" in block or not all(rows):
+            kept = [i for i, row in enumerate(rows)
+                    if row and not row[0].startswith("#")]
+            lines = [lines[i] for i in kept]
+            rows = [rows[i] for i in kept]
+        yield lines, rows
+        start = end
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the graph text format; inverse of format_graph up to normalization.
 
-    Raises TooLarge when the header claims more than MAX_VERTICES vertices.
+    Raises TooLarge when the header claims more than MAX_VERTICES vertices,
+    and otherwise ParseError for the first of these that the text has: a
+    bad header, an edge-line count other than the header's, the first
+    edge line that is not two integers, the first pair that is a self-loop
+    or out of range.
+
+    The text is split one block at a time (``_text_blocks``).  A block
+    whose lines all hold two tokens, each a vertex written as ``str(v)``,
+    becomes ints with one dict lookup per token; any other block takes
+    the line-by-line rules, with ``int()`` on each token, so ``007``,
+    ``+1`` and ``1_0`` read as 7, 1 and 10.  The ints stream into
+    ``Graph(vertex_count, zip(it, it))`` as they are made.  Once a bad
+    line or an invalid pair is met, the rest of the text is still read
+    through, to count its edge lines and find its first bad line, so
+    that the error reported is the same whatever the block size.
     """
-    rows = [line.strip() for line in text.splitlines()]
-    rows = [line for line in rows if line and not line.startswith("#")]
-    if not rows:
+    blocks = _text_blocks(text)
+    for lines, rows in blocks:
+        if rows:
+            break
+    else:
         raise ParseError("empty graph file")
-    header = rows[0].split()
+    line, header = lines[0].strip(), rows[0]
     if len(header) != 2:
-        raise ParseError(f"bad header line: {rows[0]!r}")
+        raise ParseError(f"bad header line: {line!r}")
     try:
         vertex_count, edge_count = int(header[0]), int(header[1])
     except ValueError as exc:
-        raise ParseError(f"bad header line: {rows[0]!r}") from exc
+        raise ParseError(f"bad header line: {line!r}") from exc
     if vertex_count < 0:
-        raise ParseError(f"negative vertex count: {rows[0]!r}")
+        raise ParseError(f"negative vertex count: {line!r}")
     if edge_count < 0:
-        raise ParseError(f"negative edge count: {rows[0]!r}")
+        raise ParseError(f"negative edge count: {line!r}")
     if vertex_count > MAX_VERTICES:
         raise TooLarge(f"vertex count {vertex_count} exceeds the cap of "
                        f"{MAX_VERTICES}")
-    if len(rows) - 1 != edge_count:
-        raise ParseError(
-            f"expected {edge_count} edge lines, found {len(rows) - 1}")
-    edges = []
-    for line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"bad edge line: {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise ParseError(f"bad edge line: {line!r}") from exc
+    found = 0  # edge lines read so far
+    bad = None  # the first bad edge line, stripped
+
+    def ends(blocks):
+        """Each block's edge ends as one list of ints, until a bad line."""
+        nonlocal found, bad
+        vertex = {str(v): v for v in range(vertex_count)}.__getitem__
+        for lines, rows in blocks:
+            found += len(rows)
+            if bad is not None:
+                continue
+            if set(map(len, rows)) <= {2}:
+                try:
+                    values = list(map(vertex, chain.from_iterable(rows)))
+                except KeyError:
+                    pass
+                else:
+                    yield values
+                    continue
+            values = []
+            for line, row in zip(lines, rows):
+                try:
+                    u, v = map(int, row)  # ValueError unless two ints
+                except ValueError:
+                    bad = line.strip()
+                    break
+                values += u, v
+            yield values
+
+    source = ends(chain([(lines[1:], rows[1:])], blocks))
+    it = chain.from_iterable(source)
+    invalid = None
     try:
-        return Graph(vertex_count, edges)
+        graph = Graph(vertex_count, zip(it, it))
     except InvalidEdge as exc:
-        raise ParseError(str(exc)) from exc
+        invalid = exc
+    for _ in source:  # the blocks after an invalid pair still count
+        pass
+    if found != edge_count:
+        raise ParseError(f"expected {edge_count} edge lines, found {found}")
+    if bad is not None:
+        raise ParseError(f"bad edge line: {bad!r}")
+    if invalid is not None:
+        raise ParseError(str(invalid)) from invalid
+    return graph

@@ -11,7 +11,8 @@ from collections import deque
 from itertools import combinations
 from random import Random
 
-from geohull.graph import Graph
+from geohull.errors import InvalidEdge, ParseError, TooLarge
+from geohull.graph import MAX_VERTICES, Graph
 
 
 # -- random graphs -----------------------------------------------------------
@@ -146,3 +147,54 @@ def has_induced_cycle_at_least_4(g: Graph) -> bool:
             if is_induced_cycle(g, subset):
                 return True
     return False
+
+
+# -- graph text oracles --------------------------------------------------------
+
+def reference_parse_graph(text: str) -> Graph:
+    """The graph-text parser as it was written line by line: every line
+    stripped and filtered into lists, every edge a tuple, the graph built
+    from the whole edge list.  The block-wise ``parse_graph`` must give the
+    same graph, or the same exception type and message, on every text."""
+    rows = [line.strip() for line in text.splitlines()]
+    rows = [line for line in rows if line and not line.startswith("#")]
+    if not rows:
+        raise ParseError("empty graph file")
+    header = rows[0].split()
+    if len(header) != 2:
+        raise ParseError(f"bad header line: {rows[0]!r}")
+    try:
+        vertex_count, edge_count = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise ParseError(f"bad header line: {rows[0]!r}") from exc
+    if vertex_count < 0:
+        raise ParseError(f"negative vertex count: {rows[0]!r}")
+    if edge_count < 0:
+        raise ParseError(f"negative edge count: {rows[0]!r}")
+    if vertex_count > MAX_VERTICES:
+        raise TooLarge(f"vertex count {vertex_count} exceeds the cap of "
+                       f"{MAX_VERTICES}")
+    if len(rows) - 1 != edge_count:
+        raise ParseError(
+            f"expected {edge_count} edge lines, found {len(rows) - 1}")
+    edges = []
+    for line in rows[1:]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"bad edge line: {line!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise ParseError(f"bad edge line: {line!r}") from exc
+    try:
+        return Graph(vertex_count, edges)
+    except InvalidEdge as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def reference_format_graph(vertex_count: int, pairs) -> str:
+    """The graph text of ``Graph(vertex_count, pairs)`` written from its
+    normalized, sorted edge set, one line per edge, without the graph."""
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+    return "".join([f"{vertex_count} {len(edges)}\n"]
+                   + [f"{u} {v}\n" for u, v in edges])

@@ -376,6 +376,24 @@ def test_bad_set_is_input_error(capsys, fig2_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, option, data", [
+    ("hullnum", "--graph", b"3 1\n0 \xff1\n"),
+    ("equiv", "--cnf", b"p cnf 1 3\n1 0\n1 0\n-1 \xff0\n"),
+])
+def test_non_utf8_input_is_input_error(tmp_path, capsys, command, option,
+                                       data):
+    path = tmp_path / "bad.in"
+    path.write_bytes(data)
+    code = run([command, option, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    position = data.index(b"\xff")
+    assert captured.err == (
+        f"error: {path}: not UTF-8 text: 'utf-8' codec can't decode byte "
+        f"0xff in position {position}: invalid start byte\n")
+
+
 def test_disconnected_is_precondition_error(tmp_path, capsys):
     path = tmp_path / "disc.g"
     path.write_text("4 2\n0 1\n2 3\n")

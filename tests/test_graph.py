@@ -3,11 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from geohull import (Disconnected, Graph, InvalidEdge, ParseError,
-                     build_reduction, diameter, eccentricity, format_graph,
-                     is_clique, is_simplicial, parse_graph, verify_structure)
+from geohull import (Disconnected, GeohullError, Graph, InvalidEdge,
+                     ParseError, build_reduction, diameter, eccentricity,
+                     format_graph, is_clique, is_simplicial, parse_graph,
+                     random_restricted_cnf, verify_structure)
+from geohull import graph as graph_module
 from helpers import (bfs_levels, interval_oracle, path_enumeration_distance,
-                     random_connected_graph, random_graph)
+                     random_connected_graph, random_graph,
+                     reference_format_graph, reference_parse_graph)
 
 
 def test_build_path():
@@ -429,3 +432,152 @@ def test_round_trip_random_graphs():
     for _ in range(30):
         g = random_connected_graph(rng, max_vertices=9)
         assert parse_graph(format_graph(g)) == g
+
+
+# Line breaks that str.splitlines honours, and same-valued or bad spellings
+# of vertex tokens that int() reads but str(v) never writes.
+_BREAKS = ("\n", "\n", "\n", "\r\n", "\x0b", "\x1c", "\r")
+_SEPARATORS = (" ", " ", "\t", "  ", " \t ")
+_ODD_TOKENS = ("007", "+1", "1_0", "-0", "x", "1.5", "0x1", "#1")
+
+
+def _parse_outcome(parse, text):
+    """The graph ``parse`` gives, or the type and message of what it raises."""
+    try:
+        return parse(text)
+    except GeohullError as exc:
+        return type(exc), str(exc)
+
+
+def _fuzzed_graph_text(rng):
+    """A graph text near the format: mostly well-formed edge lines among
+    comments, blank lines, odd spacing and mixed line breaks, with a chance
+    of an odd token spelling, a self-loop, an out-of-range end, a one- or
+    three-token line, a bad header or an edge-line count off by one."""
+    noise = rng.choice((0.0, 0.005, 0.02, 0.1))
+    n = rng.randint(0, 12)
+    pairs = [(u, v) for u, v in combinations(range(n), 2)
+             if rng.random() < 0.4]
+    rng.shuffle(pairs)
+    rows = []
+    for u, v in pairs:
+        if rng.random() < noise:
+            v = u
+        if rng.random() < noise:
+            v = rng.choice((n, n + 1, -1, 10**6))
+        row = [str(u), str(v)]
+        if rng.random() < noise:
+            row[rng.randrange(2)] = rng.choice(_ODD_TOKENS)
+        if rng.random() < noise:
+            row[rng.randrange(2)] = f"{rng.choice(('00', '+', '0_'))}{u}"
+        if rng.random() < noise:  # a three- or a one-token line
+            if rng.random() < 0.5:
+                row.append(str(u))
+            else:
+                row.pop()
+        rows.append(row)
+    count = len(rows)
+    if rng.random() < 0.1:
+        count += rng.choice((-1, 1))
+    header = [str(n), str(count)]
+    if rng.random() < 0.05:
+        header = rng.choice((
+            [str(n)], ["a", "b"], ["-1", "0"], [str(n), "-1"],
+            [str(graph_module.MAX_VERTICES + 1), "0"],
+            [str(n), str(count), "0"], ["+" + str(n), str(count)]))
+    rows.insert(0, header)
+    lines = [rng.choice(("", " ", "\t")) + rng.choice(_SEPARATORS).join(row)
+             + rng.choice(("", "", " ")) for row in rows]
+    for _ in range(rng.choice((0, 0, 1, 3))):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(
+            ("", "  ", "\t", "#", "# c", "  # 1 2", "#0 1")))
+    text = "".join(line + rng.choice(_BREAKS) for line in lines)
+    return text if rng.random() < 0.8 else text.rstrip("\n")
+
+
+def test_parse_matches_the_line_by_line_reference(monkeypatch):
+    # Small blocks put block boundaries everywhere: beside every "\r\n"
+    # pair, inside runs of comments and blank lines, between the header and
+    # the edges.  The default block size sees each of these texts whole.
+    rng = random.Random(19)
+    sizes = (1, 2, 5, 16, 64, graph_module._BLOCK_CHARS)
+    for case in range(20000):
+        text = _fuzzed_graph_text(rng)
+        monkeypatch.setattr(graph_module, "_BLOCK_CHARS", sizes[case % 6])
+        assert (_parse_outcome(parse_graph, text)
+                == _parse_outcome(reference_parse_graph, text)), repr(text)
+
+
+def _long_text(rng, blocks):
+    """Well-formed edge lines of a random graph, enough for ``blocks``
+    blocks of the default size; returns (header, edge lines)."""
+    n, lines, size = 400, [], 0
+    while size < blocks * graph_module._BLOCK_CHARS:
+        u, v = sorted(rng.sample(range(n), 2))
+        lines.append(f"{u} {v}")
+        size += len(lines[-1]) + 1
+    return [f"{n} {len(lines)}"], lines
+
+
+@pytest.mark.parametrize("plant", [
+    [],
+    [(0.9, "007 1")],
+    [(0.9, "3 x")],
+    [(0.9, "5 5")],
+    [(0.1, "5 5"), (0.9, "3 x")],
+    [(0.1, "4 400"), (0.5, "1 2 3"), (0.9, "7")],
+    [(0.1, "4 400"), (0.9, "# 1 2\n\n+1 -0")],
+    [(0.1, "2 2"), (0.9, "9 9")],
+])
+@pytest.mark.parametrize("count_off", [0, 1])
+def test_parse_errors_in_later_blocks_match_the_reference(plant, count_off):
+    # A planted edge line replaces the one at the given fraction of the
+    # text, so the first error can lie two blocks after the header.
+    rng = random.Random(23)
+    header, lines = _long_text(rng, 3)
+    for where, line in plant:
+        lines[int(where * len(lines))] = line
+    header = [f"400 {len(lines) + count_off}"]
+    text = "\n".join(header + lines) + "\n"
+    assert len(text) > 2 * graph_module._BLOCK_CHARS
+    expected = _parse_outcome(reference_parse_graph, text)
+    assert _parse_outcome(parse_graph, text) == expected
+    if not plant and not count_off:
+        assert isinstance(expected, Graph)
+
+
+@pytest.mark.parametrize("line_break",
+                         ["\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"])
+def test_any_line_break_is_read_in_blocks(line_break):
+    # A text without "\n" is still cut into blocks, so no list per line is
+    # held for the whole of it.
+    header, lines = _long_text(random.Random(31), 3)
+    text = line_break.join(header + lines) + line_break
+    assert len(list(graph_module._text_blocks(text))) >= 3
+    assert parse_graph(text) == reference_parse_graph(text)
+
+
+def test_format_graph_matches_sorted_edges_on_wide_graphs(monkeypatch):
+    # Masks several hundred bits wide, rows with no higher neighbour, and
+    # vertices with no neighbour at all, written without the edge tuple.
+    rng = random.Random(29)
+    cases = [(0, []), (1, []), (2, [(1, 0)]), (700, []), (700, [(0, 699)])]
+    for _ in range(12):
+        n = rng.randint(2, 700)
+        p = rng.choice((0.002, 0.02, 0.3))
+        live = rng.sample(range(n), rng.randint(0, n))
+        cases.append((n, [(u, v) for u, v in combinations(live, 2)
+                          if rng.random() < p]))
+    monkeypatch.setattr(Graph, "edges", property(_refuse_edges))
+    for n, given in cases:
+        g = Graph(n, given)
+        assert format_graph(g) == reference_format_graph(n, given)
+
+
+def test_reduction_text_round_trips_with_a_stored_clique():
+    for seed in (1, 2):
+        rg = build_reduction(random_restricted_cnf(20, seed))
+        assert rg.graph._clique
+        text = format_graph(rg.graph)
+        assert parse_graph(text) == rg.graph
+        assert reference_parse_graph(text) == rg.graph
