@@ -47,14 +47,6 @@ def _read_text(path: str) -> str:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _load_graph(path: str) -> graphmod.Graph:
-    return graphmod.parse_graph(_read_text(path))
-
-
-def _load_cnf(path: str):
-    return parse_dimacs(_read_text(path))
-
-
 def _parse_set(text: str) -> list[int]:
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     try:
@@ -125,10 +117,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_report(report) -> int:
+    """Print a verification report; exit code 1 when it holds a FAIL line."""
+    print(report)
+    return 0 if report.passed else 1
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     cmd = args.command
+    # The input file is read first, so its errors come before those of --set.
+    if "graph" in args:
+        g = graphmod.parse_graph(_read_text(args.graph))
+    if "cnf" in args:
+        cnf = parse_dimacs(_read_text(args.cnf))
     if cmd in ("interval", "hull", "convex", "concave"):
-        g = _load_graph(args.graph)
         s = _parse_set(args.set)
         if cmd == "interval":
             print(_format_set(convexity.interval(g, s)))
@@ -138,75 +140,47 @@ def _dispatch(args: argparse.Namespace) -> int:
             print("true" if convexity.is_convex(g, s) else "false")
         else:
             print("true" if convexity.is_concave(g, s) else "false")
-        return 0
-
-    if cmd == "hullnum":
-        g = _load_graph(args.graph)
+    elif cmd == "hullnum":
         if args.oracle:
             result = hull_number_bruteforce(g)
         else:
             result = hull_number_exact(g, node_budget=args.budget)
         print(f"h={result.hull_number}")
         print(f"witness={_format_set(result.witness)}")
-        return 0
-
-    if cmd == "simplicial":
-        g = _load_graph(args.graph)
+    elif cmd == "simplicial":
         print(_format_set(simplicial_vertices(g)))
-        return 0
-
-    if cmd == "chordal":
-        g = _load_graph(args.graph)
+    elif cmd == "chordal":
         peo = chordality(g)
         if peo is None:
             print("not-chordal")
         else:
             print("chordal")
             print(" ".join(str(v) for v in peo))
-        return 0
-
-    if cmd == "deps":
-        g = _load_graph(args.graph)
+    elif cmd == "deps":
         for (u, v), w in convexity.interval_dependencies(g):
             print(f"{{{u},{v}}} -> {w}")
-        return 0
-
-    if cmd == "reduce":
-        rg = build_reduction(_load_cnf(args.cnf))
+    elif cmd == "reduce":
+        rg = build_reduction(cnf)
         with open(args.out_graph, "w", encoding="utf-8") as handle:
             handle.writelines(graphmod.format_graph_chunks(rg.graph))
         with open(args.out_labels, "w", encoding="utf-8") as handle:
             handle.write(format_labels(rg))
         print(f"vertices={rg.graph.vertex_count} "
               f"edges={rg.graph.edge_count} k={rg.k}")
-        return 0
-
-    if cmd == "verify-reduction":
-        report = verify_structure(build_reduction(_load_cnf(args.cnf)))
-        for line in report.lines():
-            print(line)
-        return 0 if report.passed else 1
-
-    if cmd == "equiv":
-        report = equivalence_check(_load_cnf(args.cnf), node_budget=args.budget)
-        for line in report.lines():
-            print(line)
-        return 0 if report.passed else 1
-
-    if cmd == "fixture":
-        text = graphmod.format_graph(FIXTURES[args.name]())
+    elif cmd == "verify-reduction":
+        return _print_report(verify_structure(build_reduction(cnf)))
+    elif cmd == "equiv":
+        return _print_report(equivalence_check(cnf, node_budget=args.budget))
+    elif cmd == "fixture":
+        chunks = graphmod.format_graph_chunks(FIXTURES[args.name]())
         if args.out_graph:
             with open(args.out_graph, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
         else:
-            print(text, end="")
-        return 0
-
-    if cmd == "gen-cnf":
+            sys.stdout.writelines(chunks)
+    else:  # gen-cnf, the last subcommand the parser admits
         print(format_dimacs(random_restricted_cnf(args.n, args.seed)), end="")
-        return 0
-
-    raise AssertionError(f"unhandled command {cmd!r}")
+    return 0
 
 
 def run(argv: Sequence[str]) -> int:
@@ -214,12 +188,9 @@ def run(argv: Sequence[str]) -> int:
     args = _build_parser().parse_args(list(argv))
     try:
         return _dispatch(args)
-    except (ParseError, OSError) as exc:
+    except (GeohullError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GeohullError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, (ParseError, OSError)) else 3
 
 
 def main() -> None:

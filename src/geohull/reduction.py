@@ -269,22 +269,27 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    checks: tuple[CheckResult, ...]
-    notes: tuple[str, ...]
+class _Report:
+    """What the two reports share: ``passed`` is True when every check
+    passed, and the text is ``lines()``, one per line."""
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    def __str__(self) -> str:
+        return "\n".join(self.lines())
+
+
+@dataclass(frozen=True)
+class StructureReport(_Report):
+    checks: tuple[CheckResult, ...]
+    notes: tuple[str, ...]
+
     def lines(self) -> list[str]:
         out = [c.line for c in self.checks]
         out.extend(f"NOTE {note}" for note in self.notes)
         return out
-
-    def __str__(self) -> str:
-        return "\n".join(self.lines())
 
 
 def _layer_distance(g: Graph, u: int, v: int) -> int:
@@ -405,7 +410,7 @@ def verify_structure(rg: ReductionGraph) -> StructureReport:
 
 
 @dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(_Report):
     """Outcome of the h <= k decision on one instance.
 
     With a witness, ``hull_number`` is its size, an upper bound on h; without
@@ -420,10 +425,6 @@ class EquivalenceReport:
     checks: tuple[CheckResult, ...]
     lower_bound: int
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
     def lines(self) -> list[str]:
         if self.hull_number > self.k:
             relation = ">="
@@ -436,9 +437,6 @@ class EquivalenceReport:
                f"k={self.k}"]
         out.extend(c.line for c in self.checks)
         return out
-
-    def __str__(self) -> str:
-        return "\n".join(self.lines())
 
 
 def equivalence_check(cnf: RestrictedCnf,

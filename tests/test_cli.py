@@ -426,3 +426,19 @@ def test_failing_check_exits_one(tmp_path, capsys, monkeypatch):
     code, out = invoke(capsys, "verify-reduction", "--cnf", str(path))
     assert code == 1
     assert out.startswith("FAIL order")
+
+
+def test_failing_witness_check_exits_one(sample_cnf_file, capsys, monkeypatch):
+    import geohull.reduction as reduction_module
+    from geohull import (HullDecision, assignment_to_hull_set,
+                         build_reduction, satisfying_assignments)
+
+    cnf = make_cnf(3, [[1, 2, 3], [1, 2, 3], [-1, -2, -3]])
+    rg = build_reduction(cnf)
+    witness = (assignment_to_hull_set(rg, next(satisfying_assignments(cnf)))
+               - {min(rg.designated_simplicial())})
+    monkeypatch.setattr(reduction_module, "_decide_with_paper_cores",
+                        lambda rg, node_budget=None: HullDecision(witness, 11))
+    code, out = invoke(capsys, "equiv", "--cnf", sample_cnf_file)
+    assert code == 1
+    assert "FAIL witness-simplicial: witness misses a simplicial vertex\n" in out

@@ -6,7 +6,8 @@ import pytest
 import geohull.chordal as chordal_module
 import geohull.graph as graph_module
 import geohull.reduction as reduction_module
-from geohull import (EquivalenceReport, Graph, InvalidInstance, NotAWitness,
+from geohull import (EquivalenceReport, Graph, HullDecision, InvalidInstance,
+                     NotAWitness,
                      TooLarge, assignment_to_hull_set, build_reduction,
                      equivalence_check, format_labels, gadget_edges, hull,
                      hull_number_exact, hull_set_to_assignment,
@@ -279,6 +280,44 @@ def test_equivalence_rejects(tiny_cnf, sample_cnf):
         equivalence_check(make_cnf(1, [[1], [-1]]))
     with pytest.raises(TooLarge):
         equivalence_check(sample_cnf, max_variables=2)
+
+
+def _decide_with(monkeypatch, witness, lower_bound):
+    """Make the harness's decision search answer with this witness."""
+    monkeypatch.setattr(reduction_module, "_decide_with_paper_cores",
+                        lambda rg, node_budget=None: HullDecision(
+                            witness, lower_bound))
+
+
+def test_equivalence_fails_a_witness_missing_a_tip(
+        sample_cnf, sample_reduction, monkeypatch):
+    rg = sample_reduction
+    model = next(satisfying_assignments(sample_cnf))
+    tip = min(rg.designated_simplicial())
+    _decide_with(monkeypatch, assignment_to_hull_set(rg, model) - {tip}, 11)
+    report = equivalence_check(sample_cnf)
+    assert not report.passed
+    lines = report.lines()
+    assert "FAIL witness-simplicial: witness misses a simplicial vertex" in lines
+    # Not a hull set, so the read-off raises NotAWitness and the check fails.
+    assert ("FAIL witness-assignment: assignment read off the witness does "
+            "not satisfy the instance") in lines
+    assert lines[:2] == ["satisfiable=true", "h=11"]
+
+
+def test_equivalence_fails_a_hull_set_whose_assignment_does_not_satisfy(
+        sample_cnf, sample_reduction, monkeypatch):
+    rg = sample_reduction
+    model = next(satisfying_assignments(sample_cnf))
+    witness = assignment_to_hull_set(rg, model)
+    assert len(witness) == 12 and is_hull_set(rg.graph, witness)
+    _decide_with(monkeypatch, witness, 12)
+    monkeypatch.setattr(reduction_module, "satisfies", lambda cnf, a: False)
+    report = equivalence_check(sample_cnf)
+    assert not report.passed
+    assert [line for line in report.lines() if line.startswith("FAIL")] == [
+        "FAIL witness-assignment: assignment read off the witness does not "
+        "satisfy the instance"]
 
 
 def test_single_gadget_edge_deletion_is_detected(sample_reduction, sample_cnf):
