@@ -59,20 +59,33 @@ def chordality(g: Graph) -> Optional[tuple[int, ...]]:
     Runs maximum-cardinality search (ties broken toward the smallest
     vertex index, so results are deterministic) and validates the reversed
     visit order; the validation fails exactly on non-chordal graphs.
-    Connectivity is not required.
+    Connectivity is not required.  The unvisited vertices sit in weight
+    buckets, as in Tarjan & Yannakakis (1984), so a step costs its
+    neighbours and the buckets it steps down, not a scan of every weight.
     """
     n = g.vertex_count
+    # bucket[k] is the mask of unvisited vertices with k visited neighbours.
+    bucket = [0] * (n + 1)
+    bucket[0] = g.full_mask
     weight = [0] * n
     unvisited = g.full_mask
+    top = 0
     visit_order = []
     for _ in range(n):
-        # index finds the first of equal weights: the smallest vertex.
-        best = weight.index(max(weight))
-        # Unvisited weights never drop below 0, so best is never picked again.
-        weight[best] = -1
-        unvisited ^= 1 << best
+        # The lowest bit of the top bucket: the smallest vertex of most weight.
+        low = bucket[top] & -bucket[top]
+        best = low.bit_length() - 1
+        bucket[top] ^= low
+        unvisited ^= low
         visit_order.append(best)
         for w in mask_members(g.adjacency_mask(best) & unvisited):
-            weight[w] += 1
+            k = weight[w]
+            weight[w] = k + 1
+            bucket[k] ^= 1 << w
+            bucket[k + 1] |= 1 << w
+        # A weight rises by at most one per step.
+        top += 1
+        while top and not bucket[top]:
+            top -= 1
     peo = tuple(reversed(visit_order))
     return peo if is_perfect_elimination_ordering(g, peo) else None

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 at least one FAIL line from a verification
 subcommand, 2 unreadable or malformed input, 3 violated domain precondition
-(disconnected graph, invalid instance, exhausted budget, ...).
+(disconnected graph, invalid instance, exhausted budget, out of memory, ...).
 """
 
 from __future__ import annotations
@@ -82,11 +82,13 @@ def _build_parser() -> argparse.ArgumentParser:
     graph_cmd("hull", "smallest convex superset of the set", with_set=True)
     graph_cmd("convex", "is the set convex?", with_set=True)
     graph_cmd("concave", "is the set concave?", with_set=True)
+    # The oracle has no budget, so the two options exclude each other.
     p = graph_cmd("hullnum", "minimum hull-set size and witness")
-    p.add_argument("--oracle", action="store_true",
-                   help="use the brute-force subset search instead")
-    p.add_argument("--budget", type=_budget, default=None, metavar="N",
-                   help=_BUDGET_HELP.format("exact"))
+    search = p.add_mutually_exclusive_group()
+    search.add_argument("--oracle", action="store_true",
+                        help="use the brute-force subset search instead")
+    search.add_argument("--budget", type=_budget, default=None, metavar="N",
+                        help=_BUDGET_HELP.format("exact"))
     graph_cmd("simplicial", "vertices whose neighborhood is a clique")
     graph_cmd("chordal", "perfect elimination ordering, when one exists")
     graph_cmd("deps", "all interval dependencies {u,v} -> w")
@@ -191,6 +193,9 @@ def run(argv: Sequence[str]) -> int:
     except (GeohullError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ParseError, OSError)) else 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

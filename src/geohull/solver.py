@@ -30,9 +30,11 @@ members in ascending order, forbidding a member for the later siblings
 once its own branch has failed.  Every completion of T meets that cut
 core, and those that hold an earlier member were tried in that member's
 branch, so the branching is complete.  When hull(T) meets every stored
-core, a new one is grown lazily: hull(T) is extended greedily by each
-allowed candidate that leaves it short of the full set, and the complement
-of that convex set is stored for the rest of the search.
+core, a node with picks to spare grows a new one lazily: hull(T) is
+extended greedily by each allowed candidate that leaves it short of the
+full set, and the complement of that convex set is stored for the rest of
+the search.  At the last pick the node tries every allowed candidate
+instead, closing each once, where a grown core would close them twice.
 
 On a reduction graph the equivalence harness seeds the decision search
 with the paper's n variable triples and m clause regions, the sets the
@@ -41,23 +43,21 @@ Each seeded set is checked with ``is_concave`` before it is stored.
 Packing and branching are sound for any nonempty concave set, whatever its
 origin, so a set that fails the check is dropped and cannot make the
 answer wrong.  The branching never needed the cores to be complete either:
-once hull(T) meets every stored core, ``grow_core`` adds a missing one.
+once hull(T) meets every stored core, a grown core or the last-pick scan
+takes over.
 
 The exact search runs iterative deepening on the number r of picks beyond
-M.  Each round fixes its picks one at a time, smallest first: candidate w
-is fixed once ``hit`` finds some completion of T + w among the candidates
-above w and outside hull(T + w).  Smaller candidates were already refuted
-at this position, and the membership prune covers the rest, so the
-restriction loses nothing and the picks fixed are the lexicographically
-smallest minimum witness.  The completion found is kept, and the next
-position accepts its smallest pick without searching again.  The core
-build waits until rounds 1 and 2 have failed: building the cores up front
-costs about 40% more time and 70% more hull evaluations on random graphs
-of up to 14 vertices, where most searches end within two rounds.  Round 2
-may grow cores lazily, one per node whose hull meets every stored core,
-and the round-3 build replaces them.  Its root packing lets the rounds
-skip to a proven size, and raises the lower bound reported on an exhausted
-budget.  The search is sequential, so results are deterministic.
+M.  Each round asks ``hit`` for r picks that complete hull(M).  The first
+round that succeeds is minimum, since every earlier round failed and the
+rounds skipped by the packing bound below cannot succeed; its witness is
+not necessarily the lexicographically first.  The core build waits until
+rounds 1 and 2 have failed: building the cores up front costs about 40%
+more time and 70% more hull evaluations on random graphs of up to 14
+vertices, where most searches end within two rounds.  Round 2 grows one
+core lazily, at its root, and the round-3 build replaces it.  Its root
+packing lets the rounds skip to a proven size, and raises the lower bound
+reported on an exhausted budget.  The search is sequential, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ class _Search:
                 self.cores = self.concave_cores(start, start_members, allowed)
                 extra = max(extra, self.packing(start, allowed))
                 self.lower_bound = len(mandatory) + extra
-            picks = self.first(start, start_members, allowed, extra)
+            picks = self.hit(start, start_members, allowed, extra)
         return HullNumberResult(len(mandatory) + extra, mandatory.union(picks))
 
     def decide(self, k: int, cores: list[int] | None = None) -> HullDecision:
@@ -203,29 +203,6 @@ class _Search:
                 count += 1
         return count
 
-    def first(self, hull: int, members: list[int], allowed: int,
-              remaining: int, known=()):
-        """Lexicographically first ``remaining`` picks from ``allowed`` that
-        complete ``hull``, or None; no completion may use fewer picks.
-
-        The smallest w that ``hit`` completes from the candidates above it
-        is fixed, and the rest recursively.  ``known`` is the completion
-        found one position up; its smallest pick needs no search.
-        """
-        if hull == self.full:
-            return ()
-        for w in mask_members(allowed):
-            grown, grown_members = self.close(hull, members, 1 << w)
-            above = allowed & ~grown & -(2 << w)
-            if known and w == known[0]:
-                rest = known[1:]
-            else:
-                rest = self.hit(grown, grown_members, above, remaining - 1)
-            if rest is not None:
-                return (w,) + self.first(grown, grown_members, above,
-                                         remaining - 1, sorted(rest))
-        return None
-
     def hit(self, hull: int, members: list[int], allowed: int,
             remaining: int):
         """Some at most ``remaining`` picks from ``allowed`` that complete
@@ -234,7 +211,8 @@ class _Search:
         This is the one place a node is settled: a full hull needs no pick;
         no pick left, an empty cut core or a packing above ``remaining``
         fails; otherwise each member of the first core that the hull misses,
-        cut to ``allowed``, is a child.
+        cut to ``allowed``, is a child.  With no such core one is grown, but
+        at the last pick each member of ``allowed`` is a child.
         """
         if hull == self.full:
             return ()
@@ -244,10 +222,10 @@ class _Search:
         if need is None or need > remaining:
             return None
         core = next((core for core in self.cores if not core & hull), None)
-        if core is None:
+        if core is None and remaining > 1:
             core = self.grow_core(hull, members, allowed, self.full)
             insort(self.cores, core, key=_core_order)
-        for w in mask_members(core & allowed):
+        for w in mask_members(allowed if core is None else core & allowed):
             grown, grown_members = self.close(hull, members, 1 << w)
             rest = self.hit(grown, grown_members, allowed & ~grown,
                             remaining - 1)
@@ -274,10 +252,11 @@ class _Search:
 
 
 def hull_number_exact(g: Graph, node_budget: int | None = None) -> HullNumberResult:
-    """Minimum hull-set size and its lexicographically first witness.
+    """Minimum hull-set size and a minimum hull set, not necessarily the
+    lexicographically first.
 
-    Rounds of increasing size fix the witness's picks smallest first, each
-    checked by the core-branching search of ``hull_number_at_most``.
+    Rounds of increasing size each run the core-branching search of
+    ``hull_number_at_most``, and the first that succeeds gives the witness.
     ``node_budget`` caps the number of hull evaluations; exceeding it
     raises BudgetExceeded carrying the best proven lower bound.
     """

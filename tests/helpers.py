@@ -12,7 +12,8 @@ from itertools import combinations
 from random import Random
 
 from geohull.errors import InvalidEdge, ParseError, TooLarge
-from geohull.graph import MAX_VERTICES, Graph
+from geohull.chordal import is_perfect_elimination_ordering
+from geohull.graph import MAX_VERTICES, Graph, mask_members
 
 
 # -- random graphs -----------------------------------------------------------
@@ -198,3 +199,23 @@ def reference_format_graph(vertex_count: int, pairs) -> str:
     edges = sorted({(min(u, v), max(u, v)) for u, v in pairs})
     return "".join([f"{vertex_count} {len(edges)}\n"]
                    + [f"{u} {v}\n" for u, v in edges])
+
+
+def reference_chordality(g: Graph):
+    """``chordality`` as it was written with a weight scan: each step
+    visits the first vertex of the largest weight, found by
+    ``weight.index(max(weight))`` in O(V).  The bucketed version must give
+    the same ordering, or None, on every graph."""
+    n = g.vertex_count
+    weight = [0] * n
+    unvisited = g.full_mask
+    visit_order = []
+    for _ in range(n):
+        best = weight.index(max(weight))
+        weight[best] = -1
+        unvisited ^= 1 << best
+        visit_order.append(best)
+        for w in mask_members(g.adjacency_mask(best) & unvisited):
+            weight[w] += 1
+    peo = tuple(reversed(visit_order))
+    return peo if is_perfect_elimination_ordering(g, peo) else None

@@ -6,7 +6,8 @@ import pytest
 from geohull import (Graph, InvalidOrdering, chordality, is_clique,
                      is_perfect_elimination_ordering, is_simplicial,
                      simplicial_vertices)
-from helpers import has_induced_cycle_at_least_4, random_graph
+from helpers import (has_induced_cycle_at_least_4, random_graph,
+                     reference_chordality)
 
 
 def cycle(n):
@@ -169,3 +170,36 @@ def test_parent_test_matches_pairwise_oracle_on_chordal_graphs():
             assert is_perfect_elimination_ordering(g, order) == expected
             seen.add(expected)
     assert seen == {False, True}
+
+
+def test_chordality_matches_the_weight_scan():
+    # The same ordering, or None, as the O(V^2) weight scan: on G(n, p)
+    # graphs of up to 40 vertices, many of them disconnected, and on
+    # chordal graphs with shuffled labels, alone or two side by side.
+    rng = random.Random(5)
+    graphs = [random_graph(rng, max_vertices=40) for _ in range(3000)]
+    for _ in range(500):
+        parts = [_random_chordal_graph(rng, rng.randint(1, 20))
+                 for _ in range(rng.randint(1, 2))]
+        n = sum(part.vertex_count for part in parts)
+        label = rng.sample(range(n), n)
+        edges, offset = [], 0
+        for part in parts:
+            edges += [(label[u + offset], label[v + offset])
+                      for u, v in part.edges]
+            offset += part.vertex_count
+        graphs.append(Graph(n, edges))
+    chordal = 0
+    for g in graphs:
+        peo = chordality(g)
+        assert peo == reference_chordality(g)
+        chordal += peo is not None
+    assert 1000 < chordal < len(graphs)
+
+
+def test_chordality_of_many_isolated_vertices():
+    # Every weight stays 0, so each step takes the smallest unvisited
+    # vertex; the weight scan took seconds here, the buckets take well
+    # under one.
+    n = 1 << 16
+    assert chordality(Graph(n, [])) == tuple(range(n - 1, -1, -1))

@@ -90,6 +90,47 @@ def test_hullnum_budget_exhausted(tmp_path, capsys):
     assert code == 3
 
 
+def test_hullnum_oracle_takes_no_budget(capsys, fig2_file):
+    # The brute-force oracle has no budget to honour, so asking for one is
+    # a usage error, in either order.
+    for options in (["--oracle", "--budget", "5"], ["--budget", "5", "--oracle"]):
+        with pytest.raises(SystemExit) as info:
+            run(["hullnum", "--graph", fig2_file, *options])
+        assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, fig2_file):
+    import geohull.convexity as convexity_module
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(convexity_module, "hull", exhausted)
+    assert run(["hull", "--graph", fig2_file, "--set", "0"]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
+    monkeypatch.undo()
+    # For real: the 8-byte file "65536 0" passes the parse cap, but its
+    # distance layers do not fit in 256 MiB of address space.  The limit is
+    # set in the child alone.
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    path = tmp_path / "wide.g"
+    path.write_text("65536 0\n")
+    src = os.path.dirname(os.path.dirname(geohull.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["hullnum"], ["hull", "--set", "0"], ["deps"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "geohull", *argv, "--graph", str(path)],
+            capture_output=True, text=True, env=env, check=False,
+            preexec_fn=limit)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            3, "", "error: out of memory\n"), argv
+
+
 @pytest.mark.parametrize("command", ["hullnum", "equiv"])
 @pytest.mark.parametrize("budget", ["-1", "abc"])
 def test_bad_budget_is_usage_error(capsys, fig2_file, sample_cnf_file,

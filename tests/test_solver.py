@@ -158,7 +158,10 @@ def test_core_bound_agrees_with_oracle(sample_reduction):
             graphs.append(g)
     for g in graphs:
         oracle = hull_number_bruteforce(g)
-        assert hull_number_exact(g) == oracle
+        result = hull_number_exact(g)
+        assert result.hull_number == oracle.hull_number
+        assert len(result.witness) == result.hull_number
+        assert is_hull_set(g, result.witness)
         simplicial = simplicial_vertices(g)
         cores, bound = root_cores(g)
         for core in cores:
@@ -314,6 +317,35 @@ def test_decision_search_work():
     # a forbidden vertex, costs more evaluations here.
     g = Graph(16, BRANCHING_EDGES)
     assert hull_number_bruteforce(g, max_vertices=16).hull_number == 3
-    assert hull_number_at_most(g, 2, node_budget=139).witness is None
+    assert hull_number_at_most(g, 2, node_budget=137).witness is None
     with pytest.raises(BudgetExceeded):
-        hull_number_at_most(g, 2, node_budget=138)
+        hull_number_at_most(g, 2, node_budget=136)
+
+
+# 14 vertices, h = 5.  Both searches reach a node where a stored core that
+# the hull misses has no allowed member left: each was a failed sibling.
+EMPTY_CUT_EDGES = [
+    (0, 1), (0, 4), (0, 8), (0, 10), (0, 11), (0, 12), (0, 13), (2, 4),
+    (2, 7), (3, 10), (3, 12), (4, 5), (4, 12), (5, 11), (6, 8), (6, 12),
+    (7, 9), (9, 13)]
+
+
+def test_empty_cut_core_fails_the_node(monkeypatch):
+    empty = []
+    packing = _Search.packing
+
+    def spy(self, hull, allowed):
+        need = packing(self, hull, allowed)
+        empty.append(need is None)
+        return need
+
+    monkeypatch.setattr(_Search, "packing", spy)
+    g = Graph(14, EMPTY_CUT_EDGES)
+    oracle = hull_number_bruteforce(g)
+    result = hull_number_exact(g)
+    assert result.hull_number == oracle.hull_number == 5
+    assert is_hull_set(g, result.witness) and len(result.witness) == 5
+    assert any(empty)
+    empty.clear()
+    assert hull_number_at_most(g, 4).witness is None
+    assert any(empty)
