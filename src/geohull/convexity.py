@@ -1,9 +1,10 @@
 """Geodetic (shortest-path) convexity primitives.
 
 A vertex w lies in the interval of {u, v} exactly when
-dist(u, w) + dist(w, v) == dist(u, v); membership is decided through that
-identity rather than by enumerating paths (the path-enumerating version
-lives in the test suite as an independent oracle).
+dist(u, w) + dist(w, v) == dist(u, v); membership is decided from the
+graph's distance layers and adjacency masks rather than by enumerating
+paths (the path-enumerating version lives in the test suite as an
+independent oracle).  No operation here builds the betweenness table.
 """
 
 from __future__ import annotations
@@ -15,52 +16,82 @@ from .graph import Graph, mask_members, vertex_mask
 
 # -- bitmask layer (shared with the hull-number search) ---------------------
 
+def _toward(layers: tuple[tuple[int, ...], ...], adj: tuple[int, ...], u: int,
+            target: int) -> int:
+    """Every vertex on a shortest path from u to a member of ``target``.
+
+    ``target`` must meet u's component.  Let C_k be the vertices at distance
+    k from u on such a path.  Then C_k = L_k(u) & (target | N(C_{k+1})):
+    a vertex w of C_k is an end v in ``target`` or has its successor on a
+    shortest u-v path in C_{k+1}, and conversely a shortest u-w path, an
+    edge wx with x in C_{k+1} and a shortest x-v path make a shortest u-v
+    path through w.  So u's layers are walked from the farthest that meets
+    ``target`` down to layer 1, and only a vertex outside ``target`` is
+    tested, with one AND of its adjacency mask.  Layer 0, u itself, is left
+    out unless it is the only layer that meets ``target``.
+    """
+    rings = layers[u]
+    k = len(rings) - 1
+    while not rings[k] & target:
+        k -= 1
+    found = on = rings[k] & target
+    for ring in reversed(rings[1:k]):
+        here = ring & target
+        rest = ring ^ here
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & on:
+                here |= low
+            rest ^= low
+        on = here
+        found |= here
+    return found
+
+
 def interval_mask(g: Graph, mask: int) -> int:
-    """One interval application over a vertex bitmask."""
-    btw = g.between_table()
-    members = mask_members(mask)
+    """One interval application over a vertex bitmask.
+
+    Each member but the first is walked toward the whole set, which covers
+    every pair of members at least once.
+    """
+    layers = g.distance_layers()
+    adj = g._adj_mask
     result = mask
-    for i, u in enumerate(members):
-        row = btw[u]
-        for v in members[i + 1:]:
-            result |= row[v]
+    for u in mask_members(mask)[1:]:
+        result |= _toward(layers, adj, u, mask)
     return result
 
 
-def extend_hull_mask(btw: list[list[int]], full: int, base: int,
-                     base_members: list[int], extra: int) -> tuple[int, list[int]]:
-    """Hull of ``base | extra``, given interval-closed ``base`` and its members.
+def extend_hull_mask(g: Graph, base: int, extra: int) -> int:
+    """Hull of ``base | extra``, given interval-closed ``base``.
 
-    ``btw`` is the graph's betweenness table and ``full`` its full vertex
-    mask.  Starting the fixed-point iteration from a closed set lets the
-    search grow hulls incrementally: new pairs are only formed between
-    frontier vertices and the rest.  Returns the hull and its member list;
-    the list may be incomplete once the hull is full, where the iteration
-    stops early.  ``base_members`` is not mutated.
+    Each vertex that joins is walked once, toward the hull as it stands
+    (``_toward``, which proves the walk), and what the walk reaches joins
+    too.  That covers every pair of the final hull: a pair inside ``base``
+    is closed already, and every other pair has an end outside ``base``.
+    A vertex joins before it is walked, so whichever such end is walked
+    last finds the other end in the hull and adds their interval.
+    Starting from a closed set lets the search grow hulls incrementally,
+    and a walk tests only the vertices outside the hull, so adding to a
+    nearly full hull costs little.  Stops as soon as the hull is full.
     """
+    layers = g.distance_layers()
+    adj = g._adj_mask
+    full = g.full_mask
     hull = base | extra
-    frontier = mask_members(extra & ~base)
-    members = base_members + frontier
-    while frontier:
-        grown = 0
-        for u in frontier:
-            row = btw[u]
-            for v in members:
-                grown |= row[v]
-        grown &= ~hull
-        if not grown:
-            break
+    queue = extra & ~base
+    while queue and hull != full:
+        low = queue & -queue
+        queue ^= low
+        grown = _toward(layers, adj, low.bit_length() - 1, hull) & ~hull
         hull |= grown
-        if hull == full:
-            break
-        frontier = mask_members(grown)
-        members += frontier
-    return hull, members
+        queue |= grown
+    return hull
 
 
 def hull_mask(g: Graph, mask: int) -> int:
     """Least interval-closed superset of a vertex bitmask."""
-    return extend_hull_mask(g.between_table(), g.full_mask, 0, [], mask)[0]
+    return extend_hull_mask(g, 0, mask)
 
 
 # -- set-level operations ----------------------------------------------------
@@ -126,15 +157,28 @@ def interval_dependencies(g: Graph) -> list[tuple[tuple[int, int], int]]:
     of {u, v}: the pair forces w into any convex set that holds both.
 
     Emitted as plain tuples in ascending (u, v, w) order.  Adjacent pairs
-    contribute nothing: their interval is just the pair itself.
+    contribute nothing: their interval is just the pair itself.  Read off
+    the distance layers, one pair at a time: for v in L_d(u) with d >= 2,
+    the inner vertices are the OR over 0 < k < d of L_k(u) & L_{d-k}(v).
     """
-    btw = g.between_table()
-    n = g.vertex_count
+    layers = g.distance_layers()
     out = []
-    for u in range(n):
-        row = btw[u]
-        for v in range(u + 1, n):
-            inner = row[v] & ~((1 << u) | (1 << v))
-            for w in mask_members(inner):
-                out.append(((u, v), w))
+    append = out.append
+    for u, lu in enumerate(layers):
+        above = -(2 << u)
+        inners = []
+        for d in range(2, len(lu)):
+            for v in mask_members(lu[d] & above):
+                lv = layers[v]
+                inner = 0
+                for k in range(1, d):
+                    inner |= lu[k] & lv[d - k]
+                inners.append((v, inner))
+        inners.sort()
+        for v, inner in inners:
+            pair = (u, v)
+            while inner:
+                low = inner & -inner
+                append((pair, low.bit_length() - 1))
+                inner ^= low
     return out

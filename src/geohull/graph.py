@@ -45,10 +45,12 @@ class Graph:
     the instance, and identical no matter which thread asks first, so
     graphs are safe to share without locking: the edge tuple, the BFS
     distance layers (per vertex, one bitmask of the vertices at each
-    distance), the distance matrix read off them, and the per-pair
-    betweenness table built by intersecting them.  The table reads each
-    pair's distance off the layers too, so building it builds no distance
-    matrix.  Neighbour sets are built from the masks on each call.
+    distance), and two reference views read off the layers, the distance
+    matrix and the per-pair betweenness table.  The library's own metric,
+    interval and hull queries read the layers and the adjacency masks
+    directly and build neither view: the matrix has V^2 entries and the
+    table V^3 bits, which would dominate the memory of a large graph.
+    Neighbour sets are built from the masks on each call.
 
     Edges read as ``(min, max)`` pairs in sorted order whatever order and
     orientation they were given in, which makes structural equality and
@@ -218,10 +220,12 @@ class Graph:
     def between_table(self) -> list[list[int]]:
         """Table of bitmasks: entry [u][v] holds every w on a shortest u-v path.
 
-        Includes u and v themselves.  Low-level accessor shared by the
-        convexity operations and the hull-number search; callers must not
-        mutate the returned lists.  Read off the distance layers alone, with
-        no distance matrix: v lies in L_d(u) for d = d(u, v), and
+        Includes u and v themselves.  A reference view, like
+        ``distances()``: no library path reads it, since the convexity
+        operations and the hull-number search walk the distance layers
+        instead; callers must not mutate the returned lists.  Read off the
+        distance layers alone, with no distance matrix: v lies in L_d(u)
+        for d = d(u, v), and
         I(u, v) = {u, v} | OR over 0 < k < d of L_k(u) & L_{d-k}(v).
         """
         if self._between is None:

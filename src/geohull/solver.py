@@ -19,7 +19,11 @@ branch, and r picks cannot meet r + 1 pairwise disjoint cut cores, so a
 node whose greedy disjoint packing exceeds its remaining picks is dead.
 ``_Search.hit`` is the one place that settles a node: a full hull is done
 with no further pick, a node with no pick left or with a packing above
-its picks fails, and any other node branches.
+its picks fails, and any other node branches.  Hulls, cores and candidate
+sets pass between the search's steps as bitmasks alone, with no member
+lists: ``extend_hull_mask`` grows a closed hull from the distance layers,
+walking each vertex that joins once, so the search builds no O(V^3)
+betweenness table and a pick added to a nearly full hull costs little.
 
 The decision search behind ``hull_number_at_most(g, k)`` builds the cores
 at once and rejects when the root packing exceeds k - |M|.  Otherwise it
@@ -101,14 +105,12 @@ class _Search:
             raise Disconnected("hull number is defined for connected graphs only")
         self.g = g
         self.full = g.full_mask
-        self.btw = g.between_table()
         self.budget = node_budget
         self.evaluations = 0
         self.lower_bound = 0
         self.cores: list[int] = []
 
-    def close(self, base: int, base_members: list[int],
-              add: int) -> tuple[int, list[int]]:
+    def close(self, base: int, add: int) -> int:
         """``extend_hull_mask`` counted as one evaluation against the budget."""
         self.evaluations += 1
         if self.budget is not None and self.evaluations > self.budget:
@@ -118,28 +120,28 @@ class _Search:
                 lower_bound=self.lower_bound,
                 evaluations=self.evaluations,
             )
-        return extend_hull_mask(self.btw, self.full, base, base_members, add)
+        return extend_hull_mask(self.g, base, add)
 
-    def root(self) -> tuple[frozenset[int], int, list[int], int]:
-        """M, hull(M), its members and the candidates outside it; the lower
-        bound becomes max(|M|, 1)."""
+    def root(self) -> tuple[frozenset[int], int, int]:
+        """M, hull(M) and the candidates outside it; the lower bound becomes
+        max(|M|, 1)."""
         mandatory = simplicial_vertices(self.g)
         self.lower_bound = max(len(mandatory), 1)
-        start, start_members = self.close(0, [], vertex_mask(self.g, mandatory))
-        return mandatory, start, start_members, self.full & ~start
+        start = self.close(0, vertex_mask(self.g, mandatory))
+        return mandatory, start, self.full & ~start
 
     def run(self) -> HullNumberResult:
-        mandatory, start, start_members, allowed = self.root()
+        mandatory, start, allowed = self.root()
         extra = 0
         picks = () if start == self.full else None
         while picks is None:
             extra += 1
             self.lower_bound = len(mandatory) + extra
             if extra == 3:
-                self.cores = self.concave_cores(start, start_members, allowed)
+                self.cores = self.concave_cores(start, allowed)
                 extra = max(extra, self.packing(start, allowed))
                 self.lower_bound = len(mandatory) + extra
-            picks = self.hit(start, start_members, allowed, extra)
+            picks = self.hit(start, allowed, extra)
         return HullNumberResult(len(mandatory) + extra, mandatory.union(picks))
 
     def decide(self, k: int, cores: list[int] | None = None) -> HullDecision:
@@ -149,9 +151,9 @@ class _Search:
         concave, used in place of the root core build.  Each is checked
         with ``is_concave`` first, and an empty or failing one is dropped.
         """
-        mandatory, start, start_members, allowed = self.root()
+        mandatory, start, allowed = self.root()
         if cores is None:
-            self.cores = self.concave_cores(start, start_members, allowed)
+            self.cores = self.concave_cores(start, allowed)
         else:
             self.cores = sorted(
                 (core for core in cores
@@ -160,13 +162,12 @@ class _Search:
         self.lower_bound = len(mandatory) + self.packing(start, allowed)
         picks = None
         if self.lower_bound <= k:
-            picks = self.hit(start, start_members, allowed, k - len(mandatory))
+            picks = self.hit(start, allowed, k - len(mandatory))
         if picks is None:
             return HullDecision(None, max(self.lower_bound, k + 1))
         return HullDecision(mandatory.union(picks), self.lower_bound)
 
-    def concave_cores(self, start: int, start_members: list[int],
-                      allowed: int) -> list[int]:
+    def concave_cores(self, start: int, allowed: int) -> list[int]:
         """Concave sets that miss ``start``, sorted by (size, mask).
 
         ``start`` is hull(M).  Each candidate v in ``allowed`` outside every
@@ -177,8 +178,7 @@ class _Search:
         covered = 0
         for v in mask_members(allowed):
             if not covered >> v & 1:
-                core = self.grow_core(start, start_members,
-                                      allowed & ~(1 << v), 1 << v)
+                core = self.grow_core(start, allowed & ~(1 << v), 1 << v)
                 cores.append(core)
                 covered |= core
         return sorted(cores, key=_core_order)
@@ -203,8 +203,7 @@ class _Search:
                 count += 1
         return count
 
-    def hit(self, hull: int, members: list[int], allowed: int,
-            remaining: int):
+    def hit(self, hull: int, allowed: int, remaining: int):
         """Some at most ``remaining`` picks from ``allowed`` that complete
         ``hull``, or None; ``allowed`` is disjoint from ``hull``.
 
@@ -223,19 +222,17 @@ class _Search:
             return None
         core = next((core for core in self.cores if not core & hull), None)
         if core is None and remaining > 1:
-            core = self.grow_core(hull, members, allowed, self.full)
+            core = self.grow_core(hull, allowed, self.full)
             insort(self.cores, core, key=_core_order)
         for w in mask_members(allowed if core is None else core & allowed):
-            grown, grown_members = self.close(hull, members, 1 << w)
-            rest = self.hit(grown, grown_members, allowed & ~grown,
-                            remaining - 1)
+            grown = self.close(hull, 1 << w)
+            rest = self.hit(grown, allowed & ~grown, remaining - 1)
             if rest is not None:
                 return (w,) + rest
             allowed &= ~(1 << w)
         return None
 
-    def grow_core(self, hull: int, members: list[int], allowed: int,
-                  keep: int) -> int:
+    def grow_core(self, hull: int, allowed: int, keep: int) -> int:
         """A concave set that misses ``hull`` and meets ``keep``.
 
         x grows from ``hull`` by each allowed candidate, ascending, whose
@@ -245,9 +242,9 @@ class _Search:
         x = hull
         for c in mask_members(allowed):
             if not x >> c & 1:
-                grown, grown_members = self.close(x, members, 1 << c)
+                grown = self.close(x, 1 << c)
                 if grown & keep != keep:
-                    x, members = grown, grown_members
+                    x = grown
         return self.full & ~x
 
 

@@ -2,7 +2,9 @@
 
 Every oracle here works straight off the adjacency structure, independently
 of the library's distance matrix and betweenness machinery, so agreement
-tests actually cross-check two routes.
+tests actually cross-check two routes.  The ``reference_*`` functions are
+earlier versions of library code, kept so that a rewrite can be checked
+against them; the convexity ones read ``Graph.between_table``.
 """
 
 from __future__ import annotations
@@ -219,3 +221,57 @@ def reference_chordality(g: Graph):
             weight[w] += 1
     peo = tuple(reversed(visit_order))
     return peo if is_perfect_elimination_ordering(g, peo) else None
+
+
+# -- betweenness-table references ----------------------------------------------
+
+def reference_interval_mask(g: Graph, mask: int) -> int:
+    """``interval_mask`` as it was written over ``Graph.between_table``: the
+    OR of the table's entry for every pair of members."""
+    btw = g.between_table()
+    members = mask_members(mask)
+    result = mask
+    for i, u in enumerate(members):
+        row = btw[u]
+        for v in members[i + 1:]:
+            result |= row[v]
+    return result
+
+
+def reference_extend_hull_mask(g: Graph, base: int, extra: int) -> int:
+    """``extend_hull_mask`` as it was written over ``Graph.between_table``:
+    from interval-closed ``base``, each round ORs the table's entries
+    between the last round's new vertices and every member so far."""
+    btw = g.between_table()
+    hull = base | extra
+    frontier = mask_members(extra & ~base)
+    members = mask_members(base) + frontier
+    while frontier:
+        grown = 0
+        for u in frontier:
+            row = btw[u]
+            for v in members:
+                grown |= row[v]
+        grown &= ~hull
+        if not grown:
+            break
+        hull |= grown
+        frontier = mask_members(grown)
+        members += frontier
+    return hull
+
+
+def reference_interval_dependencies(g: Graph) -> list[tuple[tuple[int, int], int]]:
+    """``interval_dependencies`` as it was written over
+    ``Graph.between_table``: every pair u < v in order, each inner vertex
+    of its table entry ascending."""
+    btw = g.between_table()
+    n = g.vertex_count
+    out = []
+    for u in range(n):
+        row = btw[u]
+        for v in range(u + 1, n):
+            inner = row[v] & ~((1 << u) | (1 << v))
+            for w in mask_members(inner):
+                out.append(((u, v), w))
+    return out

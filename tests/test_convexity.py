@@ -6,11 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geohull import (Disconnected, Graph, gadget_edges, hull, interval,
-                     interval_dependencies, is_concave, is_convex,
-                     is_hull_set)
+from geohull import (Disconnected, Graph, build_reduction, equivalence_check,
+                     format_dimacs, format_graph, gadget_edges, hull,
+                     hull_number_at_most, hull_number_bruteforce,
+                     hull_number_exact, interval, interval_dependencies,
+                     is_concave, is_convex, is_hull_set, parse_graph,
+                     random_restricted_cnf, simplicial_vertices)
+from geohull.cli import run
+from geohull.convexity import extend_hull_mask, hull_mask, interval_mask
+from geohull.graph import vertex_mask
 from helpers import (hull_oracle, interval_oracle, random_connected_graph,
-                     random_subset)
+                     random_subset, reference_extend_hull_mask,
+                     reference_interval_dependencies, reference_interval_mask)
 
 
 def complete_graph(n):
@@ -230,3 +237,67 @@ def test_concavity_duality(data):
     g, _, s = data
     complement = set(range(g.vertex_count)) - s
     assert is_concave(g, s) == is_convex(g, complement)
+
+
+def _refuse_between_table(self):
+    raise AssertionError("the betweenness table was built")
+
+
+def test_no_query_or_search_builds_the_betweenness_table(
+        monkeypatch, fig2, sample_cnf, tmp_path, capsys):
+    monkeypatch.setattr(Graph, "between_table", _refuse_between_table)
+    rng = random.Random(53)
+    reduction = build_reduction(sample_cnf).graph
+    graphs = [fig2, reduction, parse_graph(format_graph(reduction))]
+    graphs += [random_connected_graph(rng, max_vertices=12) for _ in range(20)]
+    for g in graphs:
+        s = random_subset(rng, range(g.vertex_count))
+        interval(g, s)
+        hull(g, s)
+        is_convex(g, s)
+        is_hull_set(g, s)
+        interval_dependencies(g)
+        h = hull_number_exact(g).hull_number
+        assert hull_number_at_most(g, h).witness is not None
+        assert hull_number_at_most(g, h - 1).witness is None
+        if g.vertex_count <= 14:
+            assert hull_number_bruteforce(g).hull_number == h
+    assert equivalence_check(sample_cnf).passed
+    path = tmp_path / "sample.cnf"
+    path.write_text(format_dimacs(sample_cnf))
+    assert run(["equiv", "--cnf", str(path)]) == 0
+    capsys.readouterr()
+
+
+def _walk_cases():
+    """Seeded random graphs, the criterion-3 reductions, and a stored-clique
+    reduction with its parsed twin, which has no stored clique."""
+    rng = random.Random(67)
+    graphs = [random_connected_graph(rng, max_vertices=14) for _ in range(60)]
+    graphs += [build_reduction(random_restricted_cnf(seed % 5 + 1, seed)).graph
+               for seed in range(50)]
+    stored = build_reduction(random_restricted_cnf(3, 9)).graph
+    graphs += [stored, parse_graph(format_graph(stored))]
+    return rng, graphs
+
+
+def test_layer_walk_matches_the_table_reference():
+    rng, graphs = _walk_cases()
+    for g in graphs:
+        assert interval_dependencies(g) == reference_interval_dependencies(g)
+        for _ in range(4):
+            mask = vertex_mask(g, random_subset(rng, range(g.vertex_count)))
+            assert interval_mask(g, mask) == reference_interval_mask(g, mask)
+            assert hull_mask(g, mask) == reference_extend_hull_mask(g, 0, mask)
+        # hull(M) + w and then + w', as the search closes them.
+        start = hull_mask(g, vertex_mask(g, simplicial_vertices(g)))
+        outside = g.full_mask & ~start
+        for w in range(g.vertex_count):
+            if outside >> w & 1:
+                grown = extend_hull_mask(g, start, 1 << w)
+                assert grown == reference_extend_hull_mask(g, start, 1 << w)
+                rest = outside & ~grown
+                if rest:
+                    low = rest & -rest
+                    assert (extend_hull_mask(g, grown, low)
+                            == reference_extend_hull_mask(g, grown, low))

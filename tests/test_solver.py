@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
+import geohull
 from geohull import (BudgetExceeded, Disconnected, Graph, HullDecision,
                      TooLarge, build_reduction, gadget_edges,
                      hull_number_at_most, hull_number_bruteforce,
@@ -140,10 +144,8 @@ def test_determinism():
 def root_cores(g):
     """The search's concave cores and its bound at the root, h - |M| >= bound."""
     search = _Search(g, None)
-    start, start_members = search.close(
-        0, [], vertex_mask(g, simplicial_vertices(g)))
-    search.cores = search.concave_cores(
-        start, start_members, g.full_mask & ~start)
+    start = search.close(0, vertex_mask(g, simplicial_vertices(g)))
+    search.cores = search.concave_cores(start, g.full_mask & ~start)
     return search.cores, search.packing(start, g.full_mask & ~start)
 
 
@@ -349,3 +351,31 @@ def test_empty_cut_core_fails_the_node(monkeypatch):
     empty.clear()
     assert hull_number_at_most(g, 4).witness is None
     assert any(empty)
+
+
+_BUDGETED_SEARCH_AT_SCALE = """
+from geohull import (BudgetExceeded, build_reduction, hull_number_exact,
+                     random_restricted_cnf)
+g = build_reduction(random_restricted_cnf(150, 1)).graph
+try:
+    hull_number_exact(g, node_budget=20)
+except BudgetExceeded as exc:
+    print("BudgetExceeded", exc.lower_bound)
+"""
+
+
+def test_budgeted_search_at_scale_fits_in_256_mib():
+    # The n = 150 reduction has 2018 vertices; its O(V^3)-bit betweenness
+    # table alone would need more address space than the child is given.
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    src = os.path.dirname(os.path.dirname(geohull.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _BUDGETED_SEARCH_AT_SCALE],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        check=False, preexec_fn=limit)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "BudgetExceeded 451\n", "")

@@ -5,13 +5,16 @@ Usage, from the repository root::
     python3 tools/verify_scale.py --n 500 --seed 1
 
 Builds the reduction of ``random_restricted_cnf(n, seed)`` and measures
-seven steps, each in its own forked child so that one step's peak does not
+eight steps, each in its own forked child so that one step's peak does not
 hide the next one's:
 
 * ``build``: ``build_reduction`` of the generated instance;
 * ``sweep``: ``Graph.distance_layers()`` on the freshly built graph;
 * ``peo``: ``is_perfect_elimination_ordering`` of the staged ordering;
 * ``verify``: ``verify_structure``, with the layers already built;
+* ``hull``: ``is_hull_set`` of the all-true assignment's set
+  ``assignment_to_hull_set(rg, (True,) * n)``, with the layers already
+  built: one hull closure from 4n vertices;
 * ``format_graph``: the graph's text format, as one string;
 * ``write``: the same text written chunk by chunk to ``os.devnull``, as
   ``geohull reduce`` writes its graph file (without the disk's cost);
@@ -37,7 +40,8 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-from geohull import (build_reduction, format_graph,  # noqa: E402
+from geohull import (assignment_to_hull_set, build_reduction,  # noqa: E402
+                     format_graph, is_hull_set,
                      is_perfect_elimination_ordering, parse_graph,
                      random_restricted_cnf, verify_structure)
 from geohull.graph import format_graph_chunks  # noqa: E402
@@ -103,11 +107,13 @@ def main() -> None:
     results["parse"] = _measure(lambda: parse_graph(text).edge_count)
     g.distance_layers()
     results["verify"] = _measure(lambda: verify_structure(rg).lines())
+    hull_set = assignment_to_hull_set(rg, (True,) * args.n)
+    results["hull"] = _measure(lambda: is_hull_set(g, hull_set))
 
     print(f"n={args.n} seed={args.seed} m={cnf.clause_count} "
           f"vertices={g.vertex_count} edges={g.edge_count}")
-    for name in ("build", "sweep", "peo", "verify", "format_graph", "write",
-                 "parse"):
+    for name in ("build", "sweep", "peo", "verify", "hull", "format_graph",
+                 "write", "parse"):
         seconds, growth, _ = results[name]
         print(f"{name:>12}: {seconds:8.3f} s  peak-RSS growth {growth:7.1f} MB")
     for line in results["verify"][2]:
