@@ -21,6 +21,10 @@ from .graph import MAX_VERTICES
 
 Assignment = tuple[bool, ...]
 
+# Enumeration visits 2^n assignments, so satisfying_assignments and
+# reduction.equivalence_check raise TooLarge on more variables than this.
+MAX_ENUMERATED_VARIABLES = 12
+
 
 @dataclass(frozen=True)
 class RestrictedCnf:
@@ -113,20 +117,19 @@ def satisfies(cnf: RestrictedCnf, assignment: Sequence[bool]) -> bool:
     return True
 
 
-def satisfying_assignments(cnf: RestrictedCnf,
-                           max_variables: int = 12) -> Iterator[Assignment]:
+def satisfying_assignments(cnf: RestrictedCnf) -> Iterator[Assignment]:
     """All satisfying assignments, by exhaustive enumeration (False first)."""
-    if cnf.variable_count > max_variables:
+    if cnf.variable_count > MAX_ENUMERATED_VARIABLES:
         raise TooLarge(
             f"{cnf.variable_count} variables exceeds the enumeration cap "
-            f"of {max_variables}")
+            f"of {MAX_ENUMERATED_VARIABLES}")
     for bits in product((False, True), repeat=cnf.variable_count):
         if satisfies(cnf, bits):
             yield bits
 
 
-def is_satisfiable(cnf: RestrictedCnf, max_variables: int = 12) -> bool:
-    return next(iter(satisfying_assignments(cnf, max_variables)), None) is not None
+def is_satisfiable(cnf: RestrictedCnf) -> bool:
+    return next(iter(satisfying_assignments(cnf)), None) is not None
 
 
 # -- DIMACS text format -------------------------------------------------------

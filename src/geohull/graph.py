@@ -41,24 +41,23 @@ class Graph:
 
     Instances are immutable after construction.  The constructor builds
     only the adjacency bitmasks (bit w of mask v is set when vw is an
-    edge); everything else is derived from them on first use, cached on
-    the instance, and identical no matter which thread asks first, so
-    graphs are safe to share without locking: the edge tuple, the BFS
-    distance layers (per vertex, one bitmask of the vertices at each
-    distance), and two reference views read off the layers, the distance
-    matrix and the per-pair betweenness table.  The library's own metric,
-    interval and hull queries read the layers and the adjacency masks
-    directly and build neither view: the matrix has V^2 entries and the
+    edge).  Two structures are derived from them on first use and cached,
+    because queries read them again and again: the BFS distance layers
+    (per vertex, one bitmask of the vertices at each distance), which the
+    metric, interval and hull queries and the searches walk, and the
+    per-pair betweenness table, a reference view that tests and the
+    benchmark's tracer read.  Each is identical no matter which thread
+    asks first, so graphs are safe to share without locking.  The edge
+    tuple, the distance matrix and neighbour sets are built on each call:
+    no library path reads them, and the matrix has V^2 entries and the
     table V^3 bits, which would dominate the memory of a large graph.
-    Neighbour sets are built from the masks on each call.
 
     Edges read as ``(min, max)`` pairs in sorted order whatever order and
     orientation they were given in, which makes structural equality and
     the text format byte-stable.
     """
 
-    __slots__ = ("vertex_count", "_adj_mask", "_clique", "_edges", "_layers",
-                 "_dist", "_between", "_connected")
+    __slots__ = ("vertex_count", "_adj_mask", "_clique", "_layers", "_between")
 
     def __init__(self, vertex_count: int,
                  edge_list: Iterable[tuple[int, int]], *,
@@ -88,25 +87,21 @@ class Graph:
         self.vertex_count = vertex_count
         self._adj_mask = tuple(masks)
         self._clique = clique_mask
-        self._edges: tuple[tuple[int, int], ...] | None = None
+        # The sweep once run, or () when the graph is empty or disconnected.
         self._layers: tuple[tuple[int, ...], ...] | None = None
-        self._dist: tuple[tuple[int, ...], ...] | None = None
         self._between: list[list[int]] | None = None
-        self._connected: bool | None = None
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Every edge as a ``(min, max)`` pair, sorted; read off the upper
-        triangle of the adjacency masks on first use."""
-        if self._edges is None:
-            edges = []
-            for u, mask in enumerate(self._adj_mask):
-                above = u + 1
-                edges.extend((u, above + w) for w in mask_members(mask >> above))
-            self._edges = tuple(edges)
-        return self._edges
+        triangle of the adjacency masks on each call."""
+        edges = []
+        for u, mask in enumerate(self._adj_mask):
+            above = u + 1
+            edges.extend((u, above + w) for w in mask_members(mask >> above))
+        return tuple(edges)
 
     @property
     def edge_count(self) -> int:
@@ -179,15 +174,14 @@ class Graph:
 
     @property
     def is_connected(self) -> bool:
-        if self._connected is None:
-            if self.vertex_count == 0:
-                # No vertex to start from; metric operations reject this.
-                self._connected = False
-            else:
-                self._layers = self._sweep_layers()
-                # Layers are disjoint, so their sum is their union.
-                self._connected = sum(self._layers[0]) == self.full_mask
-        return self._connected
+        if self._layers is None:
+            # No vertex to start from: metric operations reject this.
+            layers = self._sweep_layers() if self.vertex_count else ()
+            # Layers are disjoint, so their sum is their union.
+            if layers and sum(layers[0]) != self.full_mask:
+                layers = ()
+            self._layers = layers
+        return bool(self._layers)
 
     # -- metrics ----------------------------------------------------------
 
@@ -206,16 +200,14 @@ class Graph:
         """All-pairs hop counts, read off the distance layers; raises
         Disconnected when undefined.  A reference view: the library's own
         metric queries read the layers directly."""
-        if self._dist is None:
-            rows = []
-            for layers in self.distance_layers():
-                dist = [0] * self.vertex_count
-                for k, layer in enumerate(layers):
-                    for w in mask_members(layer):
-                        dist[w] = k
-                rows.append(tuple(dist))
-            self._dist = tuple(rows)
-        return self._dist
+        rows = []
+        for layers in self.distance_layers():
+            dist = [0] * self.vertex_count
+            for k, layer in enumerate(layers):
+                for w in mask_members(layer):
+                    dist[w] = k
+            rows.append(tuple(dist))
+        return tuple(rows)
 
     def between_table(self) -> list[list[int]]:
         """Table of bitmasks: entry [u][v] holds every w on a shortest u-v path.

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .chordal import is_perfect_elimination_ordering, simplicial_vertices
-from .cnf import (Assignment, RestrictedCnf, occurrence_table, satisfies,
-                  is_satisfiable, validate_restricted)
+from .cnf import (MAX_ENUMERATED_VARIABLES, Assignment, RestrictedCnf,
+                  occurrence_table, satisfies, is_satisfiable,
+                  validate_restricted)
 from .convexity import is_concave, is_hull_set
 from .errors import GeohullError, InvalidInstance, NotAWitness, TooLarge
 from .graph import (MAX_VERTICES, Graph, _check_vertex, diameter,
@@ -439,8 +440,7 @@ class EquivalenceReport(_Report):
         return out
 
 
-def equivalence_check(cnf: RestrictedCnf,
-                      max_variables: int = 12,
+def equivalence_check(cnf: RestrictedCnf, *,
                       node_budget: int | None = None) -> EquivalenceReport:
     """Confirm satisfiable <=> hull number <= 4n on one instance.
 
@@ -449,12 +449,12 @@ def equivalence_check(cnf: RestrictedCnf,
     exists its shape is checked as well (all tips present, one triple member
     per variable, and the read-off assignment satisfies the instance).
     """
-    if cnf.variable_count > max_variables:
+    if cnf.variable_count > MAX_ENUMERATED_VARIABLES:
         raise TooLarge(
             f"{cnf.variable_count} variables exceeds the enumeration cap "
-            f"of {max_variables}")
+            f"of {MAX_ENUMERATED_VARIABLES}")
     rg = build_reduction(cnf)
-    sat = is_satisfiable(cnf, max_variables)
+    sat = is_satisfiable(cnf)
     k = rg.k
     decision = _decide_with_paper_cores(rg, node_budget)
     witness = decision.witness or frozenset()

@@ -133,7 +133,7 @@ class _Search:
     def run(self) -> HullNumberResult:
         mandatory, start, allowed = self.root()
         extra = 0
-        picks = () if start == self.full else None
+        picks = self.hit(start, allowed, 0)
         while picks is None:
             extra += 1
             self.lower_bound = len(mandatory) + extra

@@ -223,6 +223,19 @@ def reference_chordality(g: Graph):
     return peo if is_perfect_elimination_ordering(g, peo) else None
 
 
+# -- reference views a test forbids -------------------------------------------
+#
+# Patched over ``Graph.between_table`` or ``Graph.distances`` to show that
+# a path builds neither O(V^3) table nor O(V^2) matrix.
+
+def refuse_between_table(self):
+    raise AssertionError("the betweenness table was built")
+
+
+def refuse_distances(self):
+    raise AssertionError("the distance matrix was built")
+
+
 # -- betweenness-table references ----------------------------------------------
 
 def reference_interval_mask(g: Graph, mask: int) -> int:

@@ -16,7 +16,7 @@ from geohull import (Graph, assignment_to_hull_set,
                      hull_set_to_assignment, interval, interval_dependencies,
                      is_convex, is_concave, is_hull_set,
                      is_perfect_elimination_ordering, is_satisfiable,
-                     make_cnf, random_restricted_cnf, satisfies,
+                     random_restricted_cnf, satisfies,
                      satisfying_assignments, simplicial_vertices,
                      validate_restricted, verify_structure)
 from geohull.fixtures import small_chordal_graph
@@ -44,10 +44,6 @@ class Criterion:
         assert not self.failures, self.failures
 
 
-def sample_cnf():
-    return make_cnf(3, [[1, 2, 3], [1, 2, 3], [-1, -2, -3]])
-
-
 def test_criterion_1_fixture_facts():
     crit = Criterion("criterion-1 fixture", budget_seconds=1.0)
     g = small_chordal_graph()
@@ -67,9 +63,9 @@ def test_criterion_1_fixture_facts():
     crit.finish("h=2, witness {0,4}, 7 dependencies")
 
 
-def test_criterion_2_sample_instance():
+def test_criterion_2_sample_instance(sample_cnf):
     crit = Criterion("criterion-2 sample instance", budget_seconds=60.0)
-    cnf = sample_cnf()
+    cnf = sample_cnf
     rg = build_reduction(cnf)
     crit.check(rg.graph.vertex_count == 39, "order must be 12n+m = 39")
     report = verify_structure(rg)
@@ -170,9 +166,9 @@ def test_criterion_6_chordality_oracle_agreement():
     crit.finish("500 random graphs <= 10 vertices")
 
 
-def test_criterion_7_mutation_sensitivity():
+def test_criterion_7_mutation_sensitivity(sample_cnf):
     crit = Criterion("criterion-7 mutation sensitivity", budget_seconds=300.0)
-    cnf = sample_cnf()
+    cnf = sample_cnf
     rg = build_reduction(cnf)
     edges = gadget_edges(rg, 1)
     crit.check(len(edges) == 26, f"expected 26 gadget edges, got {len(edges)}")

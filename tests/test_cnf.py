@@ -79,9 +79,9 @@ def test_tiny_is_unsatisfiable(tiny_cnf):
     assert not is_satisfiable(tiny_cnf)
 
 
-def test_enumeration_cap(sample_cnf):
+def test_enumeration_cap():
     with pytest.raises(TooLarge):
-        list(satisfying_assignments(sample_cnf, max_variables=2))
+        list(satisfying_assignments(random_restricted_cnf(13, 0)))
 
 
 # -- DIMACS -------------------------------------------------------------------

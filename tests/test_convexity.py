@@ -17,7 +17,8 @@ from geohull.convexity import extend_hull_mask, hull_mask, interval_mask
 from geohull.graph import vertex_mask
 from helpers import (hull_oracle, interval_oracle, random_connected_graph,
                      random_subset, reference_extend_hull_mask,
-                     reference_interval_dependencies, reference_interval_mask)
+                     reference_interval_dependencies, reference_interval_mask,
+                     refuse_between_table)
 
 
 def complete_graph(n):
@@ -239,13 +240,9 @@ def test_concavity_duality(data):
     assert is_concave(g, s) == is_convex(g, complement)
 
 
-def _refuse_between_table(self):
-    raise AssertionError("the betweenness table was built")
-
-
 def test_no_query_or_search_builds_the_betweenness_table(
         monkeypatch, fig2, sample_cnf, tmp_path, capsys):
-    monkeypatch.setattr(Graph, "between_table", _refuse_between_table)
+    monkeypatch.setattr(Graph, "between_table", refuse_between_table)
     rng = random.Random(53)
     reduction = build_reduction(sample_cnf).graph
     graphs = [fig2, reduction, parse_graph(format_graph(reduction))]

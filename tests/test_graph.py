@@ -5,12 +5,13 @@ import pytest
 
 from geohull import (Disconnected, GeohullError, Graph, InvalidEdge,
                      ParseError, build_reduction, diameter, eccentricity,
-                     format_graph, is_clique, is_simplicial, parse_graph,
-                     random_restricted_cnf, verify_structure)
+                     format_graph, hull, is_clique, is_simplicial,
+                     parse_graph, random_restricted_cnf, verify_structure)
 from geohull import graph as graph_module
 from helpers import (bfs_levels, interval_oracle, path_enumeration_distance,
                      random_connected_graph, random_graph,
-                     reference_format_graph, reference_parse_graph)
+                     reference_format_graph, reference_parse_graph,
+                     refuse_distances)
 
 
 def test_build_path():
@@ -207,6 +208,36 @@ def test_empty_graph_rejected():
         Graph(-1, [])
 
 
+def test_one_sweep_per_graph_connected_or_not(fig2, monkeypatch):
+    # A disconnected or empty graph stores its verdict, not its layers, so
+    # no metric call on it may run the sweep again.
+    sweeps = []
+    sweep = Graph._sweep_layers
+
+    def counted(self):
+        sweeps.append(self)
+        return sweep(self)
+
+    monkeypatch.setattr(Graph, "_sweep_layers", counted)
+    g = Graph(4, [(0, 1), (2, 3)])
+    assert not g.is_connected
+    assert not g.is_connected
+    for query in (g.distance_layers, lambda: eccentricity(g, 0),
+                  lambda: hull(g, [0])):
+        with pytest.raises(Disconnected):
+            query()
+    assert sweeps == [g]
+    empty = Graph(0, [])
+    assert not empty.is_connected
+    with pytest.raises(Disconnected):
+        empty.distance_layers()
+    assert sweeps == [g]
+    layers = fig2.distance_layers()
+    assert fig2.distance_layers() is layers
+    assert fig2.is_connected and fig2.distance_layers() is layers
+    assert sweeps == [g, fig2]
+
+
 def test_single_vertex():
     g = Graph(1, [])
     assert g.is_connected
@@ -337,10 +368,6 @@ def _distance_between_table(g):
              for v in range(n)] for u in range(n)]
 
 
-def _refuse_distances(self):
-    raise AssertionError("the distance matrix was built")
-
-
 def test_between_table_matches_the_distance_identity(monkeypatch):
     # Covers the diagonal (K1), distance 1 only (K2, K5), and every
     # distance up to 6 (P7) and 4 (C9).
@@ -352,11 +379,10 @@ def test_between_table_matches_the_distance_identity(monkeypatch):
     graphs += [random_connected_graph(rng, max_vertices=16)
                for _ in range(200)]
     expected = [_distance_between_table(g) for g in graphs]
-    monkeypatch.setattr(Graph, "distances", _refuse_distances)
+    monkeypatch.setattr(Graph, "distances", refuse_distances)
     for g, table in zip(graphs, expected):
         fresh = Graph(g.vertex_count, g.edges)
         assert fresh.between_table() == table
-        assert fresh._dist is None
 
 
 def test_is_clique(fig2):

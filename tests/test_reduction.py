@@ -14,7 +14,9 @@ from geohull import (EquivalenceReport, Graph, HullDecision, InvalidInstance,
                      induced_assignment, interval, is_clique, is_hull_set,
                      is_perfect_elimination_ordering, make_cnf,
                      random_restricted_cnf, satisfying_assignments,
-                     simplicial_vertices, verify_structure)
+                     simplicial_vertices, validate_restricted,
+                     verify_structure)
+from helpers import refuse_between_table, refuse_distances
 
 SAMPLE_WITNESS = frozenset({5, 10, 11, 14, 18, 22, 23, 26, 34, 35, 36, 38})
 
@@ -275,11 +277,27 @@ def test_equivalence_report_h_line():
     assert h_line(13, 14) == "h>=13"
 
 
-def test_equivalence_rejects(tiny_cnf, sample_cnf):
+def test_equivalence_rejects():
     with pytest.raises(InvalidInstance):
         equivalence_check(make_cnf(1, [[1], [-1]]))
     with pytest.raises(TooLarge):
-        equivalence_check(sample_cnf, max_variables=2)
+        equivalence_check(random_restricted_cnf(13, 0))
+
+
+def test_enumeration_cap_comes_before_any_build(monkeypatch):
+    # A hostile instance is refused on its variable count alone, before its
+    # reduction is built or its restrictions are checked.
+    def refuse(cnf):
+        raise AssertionError("the reduction was built")
+
+    monkeypatch.setattr(reduction_module, "build_reduction", refuse)
+    invalid = make_cnf(13, [[1], [-1]])
+    assert validate_restricted(invalid)
+    for cnf in (random_restricted_cnf(13, 0), invalid):
+        with pytest.raises(TooLarge) as info:
+            equivalence_check(cnf)
+        assert str(info.value) == (
+            "13 variables exceeds the enumeration cap of 12")
 
 
 def _decide_with(monkeypatch, witness, lower_bound):
@@ -344,18 +362,10 @@ def test_dependency_check_names_the_broken_dependency(sample_reduction):
     assert failed[0].detail == "variable 1: xp is not in the interval of {x1, x2}"
 
 
-def _refuse_between_table(self):
-    raise AssertionError("the betweenness table was built")
-
-
-def _refuse_distances(self):
-    raise AssertionError("the distance matrix was built")
-
-
 def test_verify_structure_never_builds_the_betweenness_table(
         sample_reduction, monkeypatch):
     rg = sample_reduction
-    monkeypatch.setattr(Graph, "between_table", _refuse_between_table)
+    monkeypatch.setattr(Graph, "between_table", refuse_between_table)
     fresh = Graph(rg.graph.vertex_count, rg.graph.edges)
     report = verify_structure(replace(rg, graph=fresh))
     assert report.passed
@@ -365,7 +375,7 @@ def test_verify_structure_never_builds_the_betweenness_table(
 def test_verify_structure_never_builds_the_distance_matrix(
         sample_reduction, monkeypatch):
     rg = sample_reduction
-    monkeypatch.setattr(Graph, "distances", _refuse_distances)
+    monkeypatch.setattr(Graph, "distances", refuse_distances)
     fresh = Graph(rg.graph.vertex_count, rg.graph.edges)
     report = verify_structure(replace(rg, graph=fresh))
     assert report.passed
@@ -374,8 +384,8 @@ def test_verify_structure_never_builds_the_distance_matrix(
 
 def test_disconnected_mutant_gives_fail_lines(sample_reduction, monkeypatch):
     rg = sample_reduction
-    monkeypatch.setattr(Graph, "between_table", _refuse_between_table)
-    monkeypatch.setattr(Graph, "distances", _refuse_distances)
+    monkeypatch.setattr(Graph, "between_table", refuse_between_table)
+    monkeypatch.setattr(Graph, "distances", refuse_distances)
     isolated = rg.vertex("xbarpp", 1)
     edges = [e for e in rg.graph.edges if isolated not in e]
     report = verify_structure(replace(rg, graph=Graph(rg.graph.vertex_count, edges)))
