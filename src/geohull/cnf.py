@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParseError, TooLarge
+from .errors import InvalidInstance, ParseError, TooLarge
 from .graph import MAX_VERTICES
 
 Assignment = tuple[bool, ...]
@@ -97,10 +97,19 @@ def _occurrences(cnf: RestrictedCnf) -> tuple[list[list[int]], list[list[int]]]:
 def occurrence_table(cnf: RestrictedCnf) -> list[tuple[int, int, int]]:
     """Per variable, the 0-based clause indices (pos1, pos2, neg), pos1 < pos2.
 
-    Only meaningful for instances that pass validate_restricted.
+    Raises InvalidInstance when a variable does not occur exactly twice
+    positively and once negatively; validate_restricted lists every
+    violation, this names the first such variable only.
     """
     positives, negatives = _occurrences(cnf)
-    return [(pos[0], pos[1], neg[0]) for pos, neg in zip(positives, negatives)]
+    table = []
+    for var, (pos, neg) in enumerate(zip(positives, negatives), start=1):
+        if len(pos) != 2 or len(neg) != 1:
+            raise InvalidInstance(
+                f"variable {var}: {len(pos)} positive and {len(neg)} "
+                f"negative occurrence(s), expected 2 and 1")
+        table.append((pos[0], pos[1], neg[0]))
+    return table
 
 
 # -- evaluation -------------------------------------------------------------
@@ -118,11 +127,18 @@ def satisfies(cnf: RestrictedCnf, assignment: Sequence[bool]) -> bool:
 
 
 def satisfying_assignments(cnf: RestrictedCnf) -> Iterator[Assignment]:
-    """All satisfying assignments, by exhaustive enumeration (False first)."""
+    """All satisfying assignments, by exhaustive enumeration (False first).
+
+    Raises InvalidInstance, before any assignment, on a literal that names
+    no variable of the instance."""
     if cnf.variable_count > MAX_ENUMERATED_VARIABLES:
         raise TooLarge(
             f"{cnf.variable_count} variables exceeds the enumeration cap "
             f"of {MAX_ENUMERATED_VARIABLES}")
+    for j, clause in enumerate(cnf.clauses, start=1):
+        for lit in clause:
+            if not 0 < abs(lit) <= cnf.variable_count:
+                raise InvalidInstance(f"clause {j}: literal {lit} out of range")
     for bits in product((False, True), repeat=cnf.variable_count):
         if satisfies(cnf, bits):
             yield bits

@@ -380,20 +380,19 @@ def parse_graph(text: str) -> Graph:
     """Parse the graph text format; inverse of format_graph up to normalization.
 
     Raises TooLarge when the header claims more than MAX_VERTICES vertices,
-    and otherwise ParseError for the first of these that the text has: a
-    bad header, an edge-line count other than the header's, the first
-    edge line that is not two integers, the first pair that is a self-loop
-    or out of range.
+    and otherwise ParseError for the first fault in reading order: a bad
+    header, then the first edge line that is not two integers or whose
+    pair is a self-loop or out of range.  The edge-line count is checked
+    last, once every edge line has parsed.
 
     The text is split one block at a time (``_text_blocks``).  A block
     whose lines all hold two tokens, each a vertex written as ``str(v)``,
     becomes ints with one dict lookup per token; any other block takes
     the line-by-line rules, with ``int()`` on each token, so ``007``,
     ``+1`` and ``1_0`` read as 7, 1 and 10.  The ints stream into
-    ``Graph(vertex_count, zip(it, it))`` as they are made.  Once a bad
-    line or an invalid pair is met, the rest of the text is still read
-    through, to count its edge lines and find its first bad line, so
-    that the error reported is the same whatever the block size.
+    ``Graph(vertex_count, zip(it, it))`` as they are made, and the parse
+    stops at the first fault, reading no block after it.  The result, a
+    graph or an error, depends on the text alone, not on the block size.
     """
     blocks = _text_blocks(text)
     for lines, rows in blocks:
@@ -416,16 +415,14 @@ def parse_graph(text: str) -> Graph:
         raise TooLarge(f"vertex count {vertex_count} exceeds the cap of "
                        f"{MAX_VERTICES}")
     found = 0  # edge lines read so far
-    bad = None  # the first bad edge line, stripped
 
     def ends(blocks):
-        """Each block's edge ends as one list of ints, until a bad line."""
-        nonlocal found, bad
+        """Each block's edge ends as one list of ints; at a bad line, the
+        ints before it, then ParseError."""
+        nonlocal found
         vertex = {str(v): v for v in range(vertex_count)}.__getitem__
         for lines, rows in blocks:
             found += len(rows)
-            if bad is not None:
-                continue
             if set(map(len, rows)) <= {2}:
                 try:
                     values = list(map(vertex, chain.from_iterable(rows)))
@@ -439,24 +436,17 @@ def parse_graph(text: str) -> Graph:
                 try:
                     u, v = map(int, row)  # ValueError unless two ints
                 except ValueError:
-                    bad = line.strip()
-                    break
+                    yield values  # an invalid pair before it comes first
+                    raise ParseError(
+                        f"bad edge line: {line.strip()!r}") from None
                 values += u, v
             yield values
 
-    source = ends(chain([(lines[1:], rows[1:])], blocks))
-    it = chain.from_iterable(source)
-    invalid = None
+    it = chain.from_iterable(ends(chain([(lines[1:], rows[1:])], blocks)))
     try:
         graph = Graph(vertex_count, zip(it, it))
     except InvalidEdge as exc:
-        invalid = exc
-    for _ in source:  # the blocks after an invalid pair still count
-        pass
+        raise ParseError(str(exc)) from exc
     if found != edge_count:
         raise ParseError(f"expected {edge_count} edge lines, found {found}")
-    if bad is not None:
-        raise ParseError(f"bad edge line: {bad!r}")
-    if invalid is not None:
-        raise ParseError(str(invalid)) from invalid
     return graph

@@ -75,6 +75,10 @@ from .convexity import extend_hull_mask, hull_mask, is_concave
 from .errors import BudgetExceeded, Disconnected, TooLarge
 from .graph import Graph, mask_members, vertex_mask
 
+# Subset enumeration visits up to 2^n sets, so hull_number_bruteforce
+# raises TooLarge on more vertices than this.
+MAX_BRUTEFORCE_VERTICES = 14
+
 
 @dataclass(frozen=True)
 class HullNumberResult:
@@ -270,13 +274,16 @@ def hull_number_at_most(g: Graph, k: int,
     return _Search(g, node_budget).decide(k)
 
 
-def hull_number_bruteforce(g: Graph, max_vertices: int = 14) -> HullNumberResult:
-    """Subset enumeration in (size, lexicographic) order; the test oracle."""
+def hull_number_bruteforce(g: Graph) -> HullNumberResult:
+    """Subset enumeration in (size, lexicographic) order; the test oracle.
+
+    Raises TooLarge above MAX_BRUTEFORCE_VERTICES vertices."""
     if not g.is_connected:
         raise Disconnected("hull number is defined for connected graphs only")
     n = g.vertex_count
-    if n > max_vertices:
-        raise TooLarge(f"{n} vertices exceeds the brute-force cap of {max_vertices}")
+    if n > MAX_BRUTEFORCE_VERTICES:
+        raise TooLarge(f"{n} vertices exceeds the brute-force cap of "
+                       f"{MAX_BRUTEFORCE_VERTICES}")
     full = g.full_mask
     for size in range(1, n):
         for subset in combinations(range(n), size):

@@ -156,9 +156,10 @@ def has_induced_cycle_at_least_4(g: Graph) -> bool:
 
 def reference_parse_graph(text: str) -> Graph:
     """The graph-text parser as it was written line by line: every line
-    stripped and filtered into lists, every edge a tuple, the graph built
-    from the whole edge list.  The block-wise ``parse_graph`` must give the
-    same graph, or the same exception type and message, on every text."""
+    stripped and filtered into lists, every edge a tuple checked as it is
+    read, and the edge-line count compared last.  The block-wise
+    ``parse_graph`` must give the same graph, or the same exception type
+    and message, on every text."""
     rows = [line.strip() for line in text.splitlines()]
     rows = [line for line in rows if line and not line.startswith("#")]
     if not rows:
@@ -177,22 +178,24 @@ def reference_parse_graph(text: str) -> Graph:
     if vertex_count > MAX_VERTICES:
         raise TooLarge(f"vertex count {vertex_count} exceeds the cap of "
                        f"{MAX_VERTICES}")
-    if len(rows) - 1 != edge_count:
-        raise ParseError(
-            f"expected {edge_count} edge lines, found {len(rows) - 1}")
     edges = []
     for line in rows[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"bad edge line: {line!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            edge = (int(parts[0]), int(parts[1]))
         except ValueError as exc:
             raise ParseError(f"bad edge line: {line!r}") from exc
-    try:
-        return Graph(vertex_count, edges)
-    except InvalidEdge as exc:
-        raise ParseError(str(exc)) from exc
+        try:
+            Graph(vertex_count, [edge])
+        except InvalidEdge as exc:
+            raise ParseError(str(exc)) from exc
+        edges.append(edge)
+    if len(edges) != edge_count:
+        raise ParseError(
+            f"expected {edge_count} edge lines, found {len(edges)}")
+    return Graph(vertex_count, edges)
 
 
 def reference_format_graph(vertex_count: int, pairs) -> str:

@@ -1,7 +1,7 @@
 import pytest
 
-from geohull import (ParseError, TooLarge, format_dimacs, is_satisfiable,
-                     make_cnf, occurrence_table, parse_dimacs,
+from geohull import (InvalidInstance, ParseError, TooLarge, format_dimacs,
+                     is_satisfiable, make_cnf, occurrence_table, parse_dimacs,
                      random_restricted_cnf, satisfies,
                      satisfying_assignments, validate_restricted)
 
@@ -60,6 +60,20 @@ def test_occurrence_table(sample_cnf):
     assert occurrence_table(sample_cnf) == [(0, 1, 2)] * 3
 
 
+@pytest.mark.parametrize("cnf, message", [
+    (make_cnf(1, [[1], [1], [1], [-1]]),
+     "variable 1: 3 positive and 1 negative occurrence(s), expected 2 and 1"),
+    (make_cnf(1, [[1]]),
+     "variable 1: 1 positive and 0 negative occurrence(s), expected 2 and 1"),
+    (make_cnf(2, [[1], [1, 2], [-1], [2]]),
+     "variable 2: 2 positive and 0 negative occurrence(s), expected 2 and 1"),
+])
+def test_occurrence_table_rejects_a_wrong_count(cnf, message):
+    with pytest.raises(InvalidInstance) as info:
+        occurrence_table(cnf)
+    assert str(info.value) == message
+
+
 # -- evaluation ---------------------------------------------------------------
 
 def test_satisfies(sample_cnf):
@@ -82,6 +96,20 @@ def test_tiny_is_unsatisfiable(tiny_cnf):
 def test_enumeration_cap():
     with pytest.raises(TooLarge):
         list(satisfying_assignments(random_restricted_cnf(13, 0)))
+
+
+@pytest.mark.parametrize("cnf, message", [
+    (make_cnf(2, [[0]]), "clause 1: literal 0 out of range"),
+    (make_cnf(2, [[1, 2], [5]]), "clause 2: literal 5 out of range"),
+    (make_cnf(2, [[1], [-3]]), "clause 2: literal -3 out of range"),
+])
+def test_enumeration_rejects_a_literal_out_of_range(cnf, message):
+    with pytest.raises(InvalidInstance) as info:
+        list(satisfying_assignments(cnf))
+    assert str(info.value) == message
+    with pytest.raises(InvalidInstance):
+        is_satisfiable(cnf)
+    assert message in validate_restricted(cnf)
 
 
 # -- DIMACS -------------------------------------------------------------------

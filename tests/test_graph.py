@@ -572,6 +572,49 @@ def test_parse_errors_in_later_blocks_match_the_reference(plant, count_off):
         assert isinstance(expected, Graph)
 
 
+# Texts with several faults, and the one each reports: the first edge line
+# in reading order that is not two integers or whose pair is invalid, and
+# a count mismatch only when every edge line is sound.
+_FIRST_FAULTS = [
+    ("3 5\n0 1\n1 x\n1 2\n", "bad edge line: '1 x'"),
+    ("3 3\n0 1\n0 7\n1 x\n", "edge (0,7) out of range for 3 vertices"),
+    ("3 3\n0 1\n1 x\n0 7\n", "bad edge line: '1 x'"),
+    ("3 9\n0 0\n1 2\n", "self-loop at vertex 0"),
+    ("3 5\n0 1\n1 2\n", "expected 5 edge lines, found 2"),
+]
+
+
+@pytest.mark.parametrize("block_chars", [1, 4, 4096])
+@pytest.mark.parametrize("text, message", _FIRST_FAULTS)
+def test_parse_reports_the_first_fault_in_reading_order(
+        monkeypatch, block_chars, text, message):
+    monkeypatch.setattr(graph_module, "_BLOCK_CHARS", block_chars)
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    assert str(info.value) == message
+
+
+def test_parse_stops_at_the_first_bad_line(monkeypatch):
+    # The first edge line is bad, so no block after the header's is read.
+    header, lines = _long_text(random.Random(37), 100)
+    lines[0] = "0 x"
+    text = "\n".join(header + lines) + "\n"
+    blocks_read = 0
+    text_blocks = graph_module._text_blocks
+
+    def counted(text):
+        nonlocal blocks_read
+        for block in text_blocks(text):
+            blocks_read += 1
+            yield block
+
+    monkeypatch.setattr(graph_module, "_text_blocks", counted)
+    assert len(list(text_blocks(text))) >= 100
+    with pytest.raises(ParseError, match="bad edge line: '0 x'"):
+        parse_graph(text)
+    assert blocks_read == 1
+
+
 @pytest.mark.parametrize("line_break",
                          ["\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"])
 def test_any_line_break_is_read_in_blocks(line_break):

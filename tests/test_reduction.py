@@ -7,7 +7,7 @@ import geohull.chordal as chordal_module
 import geohull.graph as graph_module
 import geohull.reduction as reduction_module
 from geohull import (EquivalenceReport, Graph, HullDecision, InvalidInstance,
-                     NotAWitness,
+                     NotAWitness, ReductionGraph,
                      TooLarge, assignment_to_hull_set, build_reduction,
                      equivalence_check, format_labels, gadget_edges, hull,
                      hull_number_exact, hull_set_to_assignment,
@@ -184,6 +184,18 @@ def test_verify_structure_tiny(tiny_reduction):
 def test_verify_structure_generated_instance():
     rg = build_reduction(random_restricted_cnf(4, 7))
     assert verify_structure(rg).passed
+
+
+def test_verify_structure_reports_an_unreadable_instance():
+    # The instance's one variable has no negative occurrence, so no
+    # occurrence table exists; the checks that read one fail, none raises.
+    rg = ReductionGraph(Graph(3, [(0, 1), (1, 2)]), make_cnf(1, [[1]]))
+    checks = {c.name: c for c in verify_structure(rg).checks}
+    for name in ("clause-regions", "gadget-dependencies"):
+        assert not checks[name].passed
+        assert checks[name].detail == (
+            "error: variable 1: 1 positive and 0 negative occurrence(s), "
+            "expected 2 and 1")
 
 
 def test_assignment_to_hull_set_shape(sample_reduction):

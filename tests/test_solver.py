@@ -14,6 +14,7 @@ from geohull import (BudgetExceeded, Disconnected, Graph, HullDecision,
                      hull_number_exact, is_concave, is_hull_set,
                      is_satisfiable, random_restricted_cnf,
                      simplicial_vertices)
+from geohull import solver as solver_module
 from geohull.graph import mask_members, vertex_mask
 from geohull.reduction import _decide_with_paper_cores, _paper_cores
 from geohull.solver import _Search, _core_order
@@ -75,11 +76,12 @@ def test_disconnected_rejected(tiny_reduction):
         hull_number_bruteforce(g)
 
 
-def test_bruteforce_cap():
+def test_bruteforce_cap(monkeypatch):
     g = Graph(15, [(i, i + 1) for i in range(14)])
     with pytest.raises(TooLarge):
         hull_number_bruteforce(g)
-    assert hull_number_bruteforce(g, max_vertices=15).hull_number == 2
+    monkeypatch.setattr(solver_module, "MAX_BRUTEFORCE_VERTICES", 15)
+    assert hull_number_bruteforce(g).hull_number == 2
 
 
 def test_budget_exhaustion():
@@ -312,13 +314,14 @@ BRANCHING_EDGES = [
     (12, 14), (12, 15)]
 
 
-def test_decision_search_work():
+def test_decision_search_work(monkeypatch):
     # An exact count of hull evaluations: each set of picks is reached at
     # most once because a failed sibling stays forbidden and every core is
     # cut to the allowed vertices.  Re-searching a sibling, or branching on
     # a forbidden vertex, costs more evaluations here.
     g = Graph(16, BRANCHING_EDGES)
-    assert hull_number_bruteforce(g, max_vertices=16).hull_number == 3
+    monkeypatch.setattr(solver_module, "MAX_BRUTEFORCE_VERTICES", 16)
+    assert hull_number_bruteforce(g).hull_number == 3
     assert hull_number_at_most(g, 2, node_budget=137).witness is None
     with pytest.raises(BudgetExceeded):
         hull_number_at_most(g, 2, node_budget=136)

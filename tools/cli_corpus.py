@@ -43,6 +43,11 @@ GRAPHS = {
     "malformed.g": b"3 2\n0 1\n1 x\n",
     "latin1.g": b"2 1\n0 1\n# caf\xe9\n",
     "missing.g": None,
+    # Texts with two faults each: the first in reading order is reported.
+    "count-then-bad.g": b"3 5\n0 1\n1 x\n1 2\n",
+    "range-then-bad.g": b"3 3\n0 1\n0 7\n1 x\n",
+    "bad-then-range.g": b"3 3\n0 1\n1 x\n0 7\n",
+    "loop-then-count.g": b"3 9\n0 0\n1 2\n",
 }
 
 SET_COMMANDS = ("interval", "hull", "convex", "concave")
