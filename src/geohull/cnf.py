@@ -115,8 +115,30 @@ def occurrence_table(cnf: RestrictedCnf) -> list[tuple[int, int, int]]:
 # -- evaluation -------------------------------------------------------------
 
 def satisfies(cnf: RestrictedCnf, assignment: Sequence[bool]) -> bool:
-    """True iff every clause has a true literal under the assignment."""
-    for clause in cnf.clauses:
+    """True iff every clause has a true literal under the assignment.
+
+    Raises InvalidInstance on a negative variable count or a literal that
+    names no variable of the instance, and ValueError when the assignment's
+    length is not the variable count."""
+    _check_literals(cnf)
+    if len(assignment) != cnf.variable_count:
+        raise ValueError(f"assignment of length {len(assignment)} for "
+                         f"{cnf.variable_count} variables")
+    return _satisfies(cnf.clauses, assignment)
+
+
+def _check_literals(cnf: RestrictedCnf) -> None:
+    if cnf.variable_count < 0:
+        raise InvalidInstance(f"variable count {cnf.variable_count} < 0")
+    for j, clause in enumerate(cnf.clauses, start=1):
+        for lit in clause:
+            if not 0 < abs(lit) <= cnf.variable_count:
+                raise InvalidInstance(f"clause {j}: literal {lit} out of range")
+
+
+def _satisfies(clauses: Sequence[frozenset[int]],
+               assignment: Sequence[bool]) -> bool:
+    for clause in clauses:
         for lit in clause:
             value = assignment[abs(lit) - 1]
             if (lit > 0) == value:
@@ -129,18 +151,15 @@ def satisfies(cnf: RestrictedCnf, assignment: Sequence[bool]) -> bool:
 def satisfying_assignments(cnf: RestrictedCnf) -> Iterator[Assignment]:
     """All satisfying assignments, by exhaustive enumeration (False first).
 
-    Raises InvalidInstance, before any assignment, on a literal that names
-    no variable of the instance."""
+    Raises InvalidInstance, before any assignment, on a negative variable
+    count or a literal that names no variable of the instance."""
     if cnf.variable_count > MAX_ENUMERATED_VARIABLES:
         raise TooLarge(
             f"{cnf.variable_count} variables exceeds the enumeration cap "
             f"of {MAX_ENUMERATED_VARIABLES}")
-    for j, clause in enumerate(cnf.clauses, start=1):
-        for lit in clause:
-            if not 0 < abs(lit) <= cnf.variable_count:
-                raise InvalidInstance(f"clause {j}: literal {lit} out of range")
+    _check_literals(cnf)
     for bits in product((False, True), repeat=cnf.variable_count):
-        if satisfies(cnf, bits):
+        if _satisfies(cnf.clauses, bits):
             yield bits
 
 
@@ -217,6 +236,15 @@ def random_restricted_cnf(n: int, seed: int) -> RestrictedCnf:
     keeps clause sizes within one of each other, so no clause exceeds three
     literals, none stays empty, and placement never deadlocks.
 
+    The instance depends on (n, seed) only through ``random.Random(seed)``'s
+    MT19937 words, drawn exactly as ``Random.randint``, ``Random.shuffle``
+    and ``Random.choice`` draw them.  The shuffle is inlined as the same
+    Fisher-Yates on ``getrandbits``, and the three chosen clauses come from
+    the set of least-loaded ones; both give the instance that calling
+    ``shuffle`` and sorting all m clauses by (load, tiebreak) would.  Each
+    variable still makes its m - 1 shuffle draws, so generation is
+    O(n * m).
+
     Raises TooLarge when the reduction's 12n + m vertices exceed
     ``graph.MAX_VERTICES``: before seeding when even 13n, the fewest it can
     have, does, and otherwise as soon as m is drawn.
@@ -231,14 +259,34 @@ def random_restricted_cnf(n: int, seed: int) -> RestrictedCnf:
     if 12 * n + m > MAX_VERTICES:
         raise TooLarge(f"n = {n} with m = {m} clauses gives a reduction of "
                        f"{12 * n + m} vertices, over the cap of {MAX_VERTICES}")
-    loads = [0] * m
+    getrandbits = rng.getrandbits
+    # Random.shuffle's swaps: position i with j drawn below i + 1 from
+    # (i + 1).bit_length() bits, redrawn while out of range.
+    swaps = [(i, (i + 1).bit_length()) for i in range(m - 1, 0, -1)]
     clauses: list[set[int]] = [set() for _ in range(m)]
+    # The clauses of least load; every other clause has one more.
+    least = set(range(m))
     for var in range(1, n + 1):
         tiebreak = list(range(m))
-        rng.shuffle(tiebreak)
-        chosen = sorted(range(m), key=lambda j: (loads[j], tiebreak[j]))[:3]
+        for i, width in swaps:
+            j = getrandbits(width)
+            while j > i:
+                j = getrandbits(width)
+            tiebreak[i], tiebreak[j] = tiebreak[j], tiebreak[i]
+        chosen = sorted(least, key=tiebreak.__getitem__)[:3]
+        if len(chosen) < 3:
+            # All of least is chosen and rises to the others' load; the
+            # rest of the three come from the others.
+            least = set(range(m)).difference(chosen)
+            topped = sorted(least, key=tiebreak.__getitem__)[:3 - len(chosen)]
+            least.difference_update(topped)
+            least.update(chosen)
+            chosen += topped
+        else:
+            least.difference_update(chosen)
+            if not least:
+                least = set(range(m))
         negative = rng.choice(chosen)
         for j in chosen:
             clauses[j].add(-var if j == negative else var)
-            loads[j] += 1
     return RestrictedCnf(n, tuple(frozenset(c) for c in clauses))

@@ -15,6 +15,7 @@ from random import Random
 
 from geohull.errors import InvalidEdge, ParseError, TooLarge
 from geohull.chordal import is_perfect_elimination_ordering
+from geohull.cnf import RestrictedCnf
 from geohull.graph import MAX_VERTICES, Graph, mask_members
 
 
@@ -224,6 +225,36 @@ def reference_chordality(g: Graph):
             weight[w] += 1
     peo = tuple(reversed(visit_order))
     return peo if is_perfect_elimination_ordering(g, peo) else None
+
+
+# -- CNF generator reference ----------------------------------------------------
+
+def reference_random_restricted_cnf(n: int, seed: int) -> RestrictedCnf:
+    """``random_restricted_cnf`` as it was written with ``Random.shuffle``
+    and a sort of all m clauses by (load, tiebreak) for each variable.  The
+    inlined Fisher-Yates and the least-loaded set must give the same
+    instance for every (n, seed)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if 13 * n > MAX_VERTICES:
+        raise TooLarge(f"n = {n} gives a reduction of at least {13 * n} "
+                       f"vertices, over the cap of {MAX_VERTICES}")
+    rng = Random(seed)
+    m = rng.randint(max(3, n), 3 * n)
+    if 12 * n + m > MAX_VERTICES:
+        raise TooLarge(f"n = {n} with m = {m} clauses gives a reduction of "
+                       f"{12 * n + m} vertices, over the cap of {MAX_VERTICES}")
+    loads = [0] * m
+    clauses: list[set[int]] = [set() for _ in range(m)]
+    for var in range(1, n + 1):
+        tiebreak = list(range(m))
+        rng.shuffle(tiebreak)
+        chosen = sorted(range(m), key=lambda j: (loads[j], tiebreak[j]))[:3]
+        negative = rng.choice(chosen)
+        for j in chosen:
+            clauses[j].add(-var if j == negative else var)
+            loads[j] += 1
+    return RestrictedCnf(n, tuple(frozenset(c) for c in clauses))
 
 
 # -- reference views a test forbids -------------------------------------------

@@ -378,17 +378,21 @@ def test_gen_cnf_over_the_reduction_cap_exits_3(capsys, monkeypatch):
 
 def test_gen_cnf_with_a_drawn_m_over_the_reduction_cap_exits_3(capsys,
                                                               monkeypatch):
-    # n = 5000 seed 0 draws m = 11311, so 12n + m is over the cap.
+    # n = 5000 seed 0 draws m = 11311, so 12n + m is over the cap; it is
+    # refused before the first variable's Random.choice, which a valid n
+    # reaches.
     import geohull.cnf as cnf_module
 
     def refuse(self, items):
         raise AssertionError("clauses were placed")
 
-    monkeypatch.setattr(cnf_module.random.Random, "shuffle", refuse)
+    monkeypatch.setattr(cnf_module.random.Random, "choice", refuse)
     code = run(["gen-cnf", "--n", "5000", "--seed", "0"])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "over the cap" in captured.err
+    with pytest.raises(AssertionError, match="clauses were placed"):
+        run(["gen-cnf", "--n", "3", "--seed", "0"])
 
 
 def test_hostile_graph_header_is_rejected_before_allocation(tmp_path, capsys,

@@ -5,6 +5,8 @@ from geohull import (InvalidInstance, ParseError, TooLarge, format_dimacs,
                      random_restricted_cnf, satisfies,
                      satisfying_assignments, validate_restricted)
 
+from helpers import reference_random_restricted_cnf
+
 SAMPLE_DIMACS = """\
 c two positive clauses, one negative
 p cnf 3 3
@@ -80,6 +82,47 @@ def test_satisfies(sample_cnf):
     assert satisfies(sample_cnf, (True, False, False))
     assert not satisfies(sample_cnf, (True, True, True))
     assert not satisfies(sample_cnf, (False, False, False))
+
+
+def test_satisfies_rejects_literal_zero():
+    # Literal 0 once read as the last variable's negation through
+    # assignment[-1].
+    with pytest.raises(InvalidInstance) as info:
+        satisfies(make_cnf(2, [[0]]), (False, False))
+    assert str(info.value) == "clause 1: literal 0 out of range"
+
+
+def test_satisfies_rejects_a_literal_past_the_variable_count():
+    with pytest.raises(InvalidInstance) as info:
+        satisfies(make_cnf(2, [[1, 2], [5]]), (False, False))
+    assert str(info.value) == "clause 2: literal 5 out of range"
+
+
+def test_satisfies_rejects_an_assignment_of_the_wrong_length():
+    with pytest.raises(ValueError) as info:
+        satisfies(make_cnf(2, [[1]]), (True,))
+    assert str(info.value) == "assignment of length 1 for 2 variables"
+    with pytest.raises(ValueError, match="length 3 for 2 variables"):
+        satisfies(make_cnf(2, [[1]]), (True, False, False))
+
+
+def test_negative_variable_count_is_an_invalid_instance():
+    cnf = make_cnf(-1, [])
+    with pytest.raises(InvalidInstance, match="variable count -1 < 0"):
+        list(satisfying_assignments(cnf))
+    with pytest.raises(InvalidInstance, match="variable count -1 < 0"):
+        satisfies(cnf, ())
+
+
+def test_enumeration_checks_the_instance_once(sample_cnf, monkeypatch):
+    import geohull.cnf as cnf_module
+
+    checked = []
+    check = cnf_module._check_literals
+    monkeypatch.setattr(cnf_module, "_check_literals",
+                        lambda cnf: checked.append(check(cnf)))
+    assert len(list(satisfying_assignments(sample_cnf))) == 6
+    assert len(checked) == 1
 
 
 def test_sample_has_six_models(sample_cnf):
@@ -194,14 +237,26 @@ def test_generator_refuses_n_over_the_reduction_cap(monkeypatch):
 def test_generator_refuses_a_drawn_m_over_the_reduction_cap(monkeypatch):
     # n = 5000 passes the 13n check, but seed 0 draws m = 11311, so the
     # reduction would have 71311 vertices; it is refused before any clause
-    # is placed.
+    # is placed.  Each variable draws its negative occurrence with
+    # Random.choice before its clauses are filled.
     import geohull.cnf as cnf_module
 
     def refuse(self, items):
         raise AssertionError("clauses were placed")
 
-    monkeypatch.setattr(cnf_module.random.Random, "shuffle", refuse)
+    monkeypatch.setattr(cnf_module.random.Random, "choice", refuse)
     with pytest.raises(TooLarge, match="m = 11311"):
         random_restricted_cnf(5000, 0)
     with pytest.raises(AssertionError, match="clauses were placed"):
         random_restricted_cnf(3, 0)
+
+
+def test_generator_matches_the_shuffle_and_sort_reference():
+    # The same instance as Random.shuffle plus a sort of all m clauses by
+    # (load, tiebreak), for every (n, seed): the MT19937 stream is drawn
+    # word for word as before.
+    pairs = [(n, seed) for n in range(1, 31) for seed in range(10)]
+    pairs += [(100, 0), (100, 1), (100, 2), (333, 0)]
+    for n, seed in pairs:
+        assert (random_restricted_cnf(n, seed)
+                == reference_random_restricted_cnf(n, seed)), (n, seed)

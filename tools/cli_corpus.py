@@ -61,6 +61,10 @@ SIZES = ((1, 0), (2, 1), (3, 3), (4, 7), (5, 4), (20, 1), (24, 2))
 # The instances of the acceptance suite's criterion 3.
 CRITERION_3 = tuple((seed % 5 + 1, seed) for seed in range(50))
 
+# (n, seed) pairs for gen-cnf alone: the generator at scale, where its
+# instances are too large to reduce or solve here.
+GEN_ONLY_SIZES = ((100, 3), (400, 1), (1000, 1))
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -118,6 +122,8 @@ def _corpus(tmp: str, cnf_path) -> list[list[str]]:
                ["verify-reduction", "--cnf", path("missing.cnf")]]
     corpus += [["equiv", "--cnf", cnf_path(n, seed)]
                for n, seed in CRITERION_3]
+    corpus += [["gen-cnf", "--n", str(n), "--seed", str(seed)]
+               for n, seed in GEN_ONLY_SIZES]
     return corpus
 
 

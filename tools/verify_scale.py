@@ -4,10 +4,11 @@ Usage, from the repository root::
 
     python3 tools/verify_scale.py --n 500 --seed 1
 
-Builds the reduction of ``random_restricted_cnf(n, seed)`` and measures
-eight steps, each in its own forked child so that one step's peak does not
-hide the next one's:
+Generates ``random_restricted_cnf(n, seed)``, builds its reduction and
+measures nine steps, each in its own forked child so that one step's peak
+does not hide the next one's:
 
+* ``generate``: ``random_restricted_cnf(n, seed)`` itself;
 * ``build``: ``build_reduction`` of the generated instance;
 * ``sweep``: ``Graph.distance_layers()`` on the freshly built graph;
 * ``peo``: ``is_perfect_elimination_ordering`` of the staged ordering;
@@ -93,8 +94,10 @@ def main() -> None:
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()
 
-    cnf = random_restricted_cnf(args.n, args.seed)
     results = {}
+    results["generate"] = _measure(
+        lambda: random_restricted_cnf(args.n, args.seed).clause_count)
+    cnf = random_restricted_cnf(args.n, args.seed)
     results["build"] = _measure(lambda: build_reduction(cnf).graph.vertex_count)
     rg = build_reduction(cnf)
     g = rg.graph
@@ -112,8 +115,8 @@ def main() -> None:
 
     print(f"n={args.n} seed={args.seed} m={cnf.clause_count} "
           f"vertices={g.vertex_count} edges={g.edge_count}")
-    for name in ("build", "sweep", "peo", "verify", "hull", "format_graph",
-                 "write", "parse"):
+    for name in ("generate", "build", "sweep", "peo", "verify", "hull",
+                 "format_graph", "write", "parse"):
         seconds, growth, _ = results[name]
         print(f"{name:>12}: {seconds:8.3f} s  peak-RSS growth {growth:7.1f} MB")
     for line in results["verify"][2]:
