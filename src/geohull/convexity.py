@@ -115,16 +115,23 @@ def is_convex(g: Graph, vertices: Iterable[int]) -> bool:
 def is_concave(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff the set avoids the interval of every outside vertex pair.
 
-    Equivalent to the complement being convex.  Tested on the boundary
-    edges, from the distance layers alone: S is concave exactly when, for
-    every edge sw with s in S and w outside, every vertex strictly closer
-    to s than to w lies in S.  Those vertices are the union over k of
-    L_k(s) & L_{k+1}(w).  If such a vertex u lay outside, s would sit on a
-    shortest u-w path.  Conversely, let s' in S lie on a shortest u-v path
-    with u, v outside; walking from s' toward v, the path leaves S along
-    some edge sw, and u is strictly closer to s than to w because s comes
-    first on a shortest path from u.  The rings start at k = 1: ring 0
-    is s itself, which lies in S.
+    Equivalent to the complement being convex; ``_concave_mask`` tests it.
+    """
+    return _concave_mask(g, vertex_mask(g, vertices))
+
+
+def _concave_mask(g: Graph, mask: int) -> bool:
+    """``is_concave`` on a bitmask of vertices of g, unchecked.
+
+    Tested on the boundary edges, from the distance layers alone: S is
+    concave exactly when, for every edge sw with s in S and w outside,
+    every vertex strictly closer to s than to w lies in S.  Those vertices
+    are the union over k of L_k(s) & L_{k+1}(w).  If such a vertex u lay
+    outside, s would sit on a shortest u-w path.  Conversely, let s' in S
+    lie on a shortest u-v path with u, v outside; walking from s' toward
+    v, the path leaves S along some edge sw, and u is strictly closer to s
+    than to w because s comes first on a shortest path from u.  The rings
+    start at k = 1: ring 0 is s itself, which lies in S.
 
     Boundary edges whose outside end lies in the graph's stored clique K
     need no test.  In the argument above, walk from s' toward u as well:
@@ -134,16 +141,24 @@ def is_concave(g: Graph, vertices: Iterable[int]) -> bool:
     more steps apart on it, and a subpath of a shortest path is shortest.
     So w or w'' lies outside K, and its edge is tested.
     """
-    mask = vertex_mask(g, vertices)
     layers = g.distance_layers()
+    adj = g._adj_mask
     outside = g.full_mask & ~mask
     exits = outside & ~g._clique
-    for s in mask_members(mask):
-        near = layers[s][1:]
-        for w in mask_members(g.adjacency_mask(s) & exits):
-            for ring, farther in zip(near, layers[w][2:]):
-                if ring & farther & outside:
-                    return False
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        s = low.bit_length() - 1
+        ends = adj[s] & exits
+        if ends:
+            near = layers[s][1:]
+            while ends:
+                end = ends & -ends
+                ends ^= end
+                for ring, farther in zip(near, layers[end.bit_length() - 1][2:]):
+                    if ring & farther & outside:
+                        return False
     return True
 
 

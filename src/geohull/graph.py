@@ -134,16 +134,28 @@ class Graph:
         distance k + 1 of u are those within k of u or of a neighbour of u,
         so each sweep ORs the neighbours' radius-k balls into u's, walking
         the bits of u's adjacency mask in place, and what is new is u's next
-        layer.  Every member of the stored clique sees all the others, so
+        layer.  Every member of the stored clique K sees all the others, so
         the members' balls are ORed once per sweep and shared: a growing
         member takes that union and walks only its neighbours outside the
-        clique.  A source drops out once its ball holds every vertex, or
-        stops growing, as it does in a disconnected graph.
+        clique.  When K dominates, its closed neighbourhood N[K] being
+        every vertex, a ball that holds all of K grows to every vertex in
+        the next sweep, with no walk: each member of K is within one step
+        of the whole graph.  So the members finish in the first sweep, as
+        a star's centre does, and on a reduction, whose hub dominates,
+        every gadget vertex finishes in the second.  A source drops out
+        once its ball holds every vertex, or stops growing, as it does in a
+        disconnected graph.
         """
         adj = self._adj_mask
         full = self.full_mask
         clique = self._clique
         members = mask_members(clique)
+        around = clique
+        for k in members:
+            around |= adj[k]
+        dominating = bool(clique) and around == full
+        if dominating:
+            members = []  # each holds K from the start: no shared union
         balls = [mask | 1 << u for u, mask in enumerate(adj)]
         layers = [[1 << u, mask] if mask else [1 << u]
                   for u, mask in enumerate(adj)]
@@ -156,14 +168,17 @@ class Graph:
             still = []
             for u in growing:
                 ball = old = previous[u]
-                rest = adj[u]
-                if clique >> u & 1:
-                    ball |= shared
-                    rest &= ~clique
-                while rest:
-                    low = rest & -rest
-                    ball |= previous[low.bit_length() - 1]
-                    rest ^= low
+                if dominating and ball & clique == clique:
+                    ball = full
+                else:
+                    rest = adj[u]
+                    if clique >> u & 1:
+                        ball |= shared
+                        rest &= ~clique
+                    while rest:
+                        low = rest & -rest
+                        ball |= previous[low.bit_length() - 1]
+                        rest ^= low
                 if ball != old:
                     layers[u].append(ball ^ old)
                     balls[u] = ball

@@ -14,15 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .chordal import is_perfect_elimination_ordering, simplicial_vertices
 from .cnf import (MAX_ENUMERATED_VARIABLES, Assignment, RestrictedCnf,
                   occurrence_table, satisfies, is_satisfiable,
                   validate_restricted)
-from .convexity import is_concave, is_hull_set
+from .convexity import _concave_mask, is_hull_set
 from .errors import GeohullError, InvalidInstance, NotAWitness, TooLarge
 from .graph import (MAX_VERTICES, Graph, _check_vertex, diameter,
-                    eccentricity, vertex_mask)
+                    eccentricity, mask_members)
 from .solver import HullDecision, _Search
 
 # Fixed per-variable role order; vertex layout is clause vertices first
@@ -33,18 +34,16 @@ BLOCK_SIZE = len(ROLE_ORDER)
 _OFFSET = {kind: off for off, kind in enumerate(ROLE_ORDER)}
 
 
-def _vertex_index(clause_count: int, kind: str, i: int) -> int:
-    """Vertex of role ``kind`` for variable i, or of clause i when ``kind``
-    is "c" (1-based, unchecked), in a reduction with ``clause_count``
-    clauses."""
-    if kind == "c":
-        return i - 1
-    return clause_count + BLOCK_SIZE * (i - 1) + _OFFSET[kind]
+def _bases(n: int, m: int) -> range:
+    """The first vertex of each variable's block, ascending: clause j is
+    vertex j - 1, and role ``kind`` of variable i is vertex
+    ``_bases(n, m)[i - 1] + _OFFSET[kind]``."""
+    return range(m, m + BLOCK_SIZE * n, BLOCK_SIZE)
 
 
 def _role(clause_count: int, v: int) -> tuple[str, int]:
-    """Inverse of ``_vertex_index``: the role kind of vertex v and its
-    1-based variable or clause index (unchecked)."""
+    """Inverse of the layout: the role kind of vertex v and its 1-based
+    variable or clause index (unchecked)."""
     if v < clause_count:
         return "c", v + 1
     block, offset = divmod(v - clause_count, BLOCK_SIZE)
@@ -88,21 +87,35 @@ GADGET_DEPENDENCIES = (
 CLAUSE_REGION_ROLES = (("c_a", ("x", "xp", "x1")), ("c_b", ("x", "xp", "x2")),
                        ("c_c", ("xbar", "xbarp")))
 
+_GADGET_KEYS = ROLE_ORDER + ("c_a", "c_b", "c_c")
 
-def _gadget_vertices(clause_count: int, i: int,
+
+def _offset_mask(kinds) -> int:
+    """Bitmask of the roles' offsets within a block; shifted left by a
+    block's first vertex, it is the block's vertices of those roles."""
+    return sum(1 << _OFFSET[kind] for kind in kinds)
+
+
+# Each occurrence's region roles as offset masks, in occurrence order
+# (pos1, pos2, neg), and the variable triple {x, z, xbar} likewise.
+_REGION_OFFSETS = tuple(_offset_mask(kinds) for _, kinds in CLAUSE_REGION_ROLES)
+_TRIPLE_OFFSETS = _offset_mask(("x", "z", "xbar"))
+
+
+def _gadget_vertices(base: int,
                      occurrence: tuple[int, int, int]) -> dict[str, int]:
-    """Vertex of each role of variable i's gadget, and of c_a, c_b and c_c
-    for its occurrence (pos1, pos2, neg) as 0-based clause indices."""
-    at = {kind: _vertex_index(clause_count, kind, i) for kind in ROLE_ORDER}
-    at.update((key, _vertex_index(clause_count, "c", j + 1))
-              for key, j in zip(("c_a", "c_b", "c_c"), occurrence))
-    return at
+    """Vertex of each role of the gadget whose block starts at ``base``,
+    and of c_a, c_b and c_c for its variable's occurrence (pos1, pos2, neg)
+    as 0-based clause indices, which are the clause vertices themselves."""
+    return dict(zip(_GADGET_KEYS,
+                    chain(range(base, base + BLOCK_SIZE), occurrence)))
 
 
 def _roles(n: int, m: int, kinds: tuple[str, ...]) -> list[int]:
     """The vertices of the given role kinds, variable by variable, in the
     order of ``kinds`` within each variable."""
-    return [_vertex_index(m, kind, i) for i in range(1, n + 1) for kind in kinds]
+    offsets = [_OFFSET[kind] for kind in kinds]
+    return [base + off for base in _bases(n, m) for off in offsets]
 
 
 def _hub(n: int, m: int) -> list[int]:
@@ -138,11 +151,13 @@ class ReductionGraph:
         if kind == "c":
             if not 1 <= i <= self.clause_count:
                 raise ValueError(f"clause index {i} out of range")
-        elif kind not in _OFFSET:
+            return i - 1
+        if kind not in _OFFSET:
             raise ValueError(f"unknown role kind {kind!r}")
-        elif not 1 <= i <= self.variable_count:
+        if not 1 <= i <= self.variable_count:
             raise ValueError(f"variable index {i} out of range")
-        return _vertex_index(self.clause_count, kind, i)
+        return (_bases(self.variable_count, self.clause_count)[i - 1]
+                + _OFFSET[kind])
 
     def role_token(self, v: int) -> str:
         """Role of vertex v as written in the labels file, such as "xbar2"."""
@@ -163,21 +178,21 @@ class ReductionGraph:
         return tuple(occurrence_table(self.cnf))
 
     @cached_property
-    def _clause_regions(self) -> tuple[frozenset[int], ...]:
-        """Every clause region, indexed by its clause vertex, built in one
-        pass over the occurrences."""
-        m = self.clause_count
-        regions = [{_vertex_index(m, "c", j)} for j in range(1, m + 1)]
-        for i, occurrence in enumerate(self.occurrences, start=1):
-            at = _gadget_vertices(m, i, occurrence)
-            for clause, kinds in CLAUSE_REGION_ROLES:
-                regions[at[clause]].update(at[kind] for kind in kinds)
-        return tuple(map(frozenset, regions))
+    def _region_masks(self) -> tuple[int, ...]:
+        """Every clause region as a bitmask, indexed by its clause vertex,
+        built in one pass over the occurrences."""
+        regions = [1 << j for j in range(self.clause_count)]
+        for base, occurrence in zip(_bases(self.variable_count,
+                                           self.clause_count),
+                                    self.occurrences):
+            for j, offsets in zip(occurrence, _REGION_OFFSETS):
+                regions[j] |= offsets << base
+        return tuple(regions)
 
     def clause_region(self, j: int) -> frozenset[int]:
         """The concave region of clause j: its vertex plus the gadget vertices
         that can pull it into a hull."""
-        return self._clause_regions[self.vertex("c", j)]
+        return frozenset(mask_members(self._region_masks[self.vertex("c", j)]))
 
     def designated_simplicial(self) -> frozenset[int]:
         """The 3n gadget tips that are simplicial by construction."""
@@ -201,7 +216,8 @@ def gadget_edges(rg: ReductionGraph, i: int) -> list[tuple[int, int]]:
     """The 26 gadget edges of variable i, normalized (min, max)."""
     if not 1 <= i <= rg.variable_count:
         raise ValueError(f"variable index {i} out of range")
-    at = _gadget_vertices(rg.clause_count, i, rg.occurrences[i - 1])
+    base = _bases(rg.variable_count, rg.clause_count)[i - 1]
+    at = _gadget_vertices(base, rg.occurrences[i - 1])
     return sorted(tuple(sorted((at[p], at[q]))) for p, q in GADGET_EDGES)
 
 
@@ -221,8 +237,7 @@ def build_reduction(cnf: RestrictedCnf) -> ReductionGraph:
     if vertex_count > MAX_VERTICES:
         raise TooLarge(f"reduction has {vertex_count} vertices, over the "
                        f"cap of {MAX_VERTICES}")
-    gadgets = (_gadget_vertices(m, i, occurrence)
-               for i, occurrence in enumerate(occurrence_table(cnf), start=1))
+    gadgets = map(_gadget_vertices, _bases(n, m), occurrence_table(cnf))
     edges = ((at[p], at[q]) for at in gadgets for p, q in GADGET_EDGES)
     return ReductionGraph(Graph(vertex_count, edges, clique=_hub(n, m)), cnf)
 
@@ -231,17 +246,25 @@ def build_reduction(cnf: RestrictedCnf) -> ReductionGraph:
 
 def assignment_to_hull_set(rg: ReductionGraph, assignment: Assignment) -> frozenset[int]:
     """The canonical 4n-vertex candidate hull set of a truth assignment:
-    every gadget tip, plus x_i for true variables and xbar_i for false ones."""
-    members = set(rg.designated_simplicial())
-    for i in range(1, rg.variable_count + 1):
-        members.add(rg.vertex("x" if assignment[i - 1] else "xbar", i))
-    return frozenset(members)
+    every gadget tip, plus x_i for true variables and xbar_i for false ones.
+
+    Raises ValueError when the assignment's length is not the variable
+    count."""
+    n = rg.variable_count
+    if len(assignment) != n:
+        raise ValueError(f"assignment of length {len(assignment)} for "
+                         f"{n} variables")
+    x, xbar = _OFFSET["x"], _OFFSET["xbar"]
+    picks = (base + (x if value else xbar)
+             for base, value in zip(_bases(n, rg.clause_count), assignment))
+    return rg.designated_simplicial().union(picks)
 
 
 def induced_assignment(rg: ReductionGraph, vertices: frozenset[int] | set[int]) -> Assignment:
     """Assignment read off a vertex set: variable i is true iff x_i is in it."""
-    return tuple(rg.vertex("x", i) in vertices
-                 for i in range(1, rg.variable_count + 1))
+    x = _OFFSET["x"]
+    return tuple(base + x in vertices
+                 for base in _bases(rg.variable_count, rg.clause_count))
 
 
 def hull_set_to_assignment(rg: ReductionGraph,
@@ -298,8 +321,9 @@ def _layer_distance(g: Graph, u: int, v: int) -> int:
     when u or v is not a vertex of g."""
     _check_vertex(g, u)
     _check_vertex(g, v)
-    return next(k for k, layer in enumerate(g.distance_layers()[u])
-                if layer >> v & 1)
+    for k, layer in enumerate(g.distance_layers()[u]):
+        if layer >> v & 1:
+            return k
 
 
 def verify_structure(rg: ReductionGraph) -> StructureReport:
@@ -360,26 +384,27 @@ def verify_structure(rg: ReductionGraph) -> StructureReport:
              else f"simplicial set {sorted(actual)} != designated {sorted(expected)}")
 
     def check_triples():
-        bad = [i for i in range(1, n + 1)
-               if not is_concave(g, rg.variable_triple(i))]
+        bad = [i for i, core in enumerate(_triple_cores(rg), 1)
+               if not _concave_mask(g, core)]
         return not bad, ("{x_i, z_i, xbar_i} is concave for every i" if not bad
                          else f"non-concave triples for variables: {bad}")
 
     def check_regions():
-        bad = [j for j in range(1, m + 1)
-               if not is_concave(g, rg.clause_region(j))]
+        bad = [j for j, core in enumerate(_region_cores(rg), 1)
+               if not _concave_mask(g, core)]
         return not bad, ("every clause region is concave" if not bad
                          else f"non-concave regions for clauses: {bad}")
 
     def check_dependencies():
         broken = []
-        for i, occurrence in enumerate(rg.occurrences, start=1):
-            at = _gadget_vertices(m, i, occurrence)
+        layers = g.distance_layers()
+        for i, (base, occurrence) in enumerate(
+                zip(_bases(n, m), rg.occurrences), start=1):
+            at = _gadget_vertices(base, occurrence)
             for (p, q), recovered in GADGET_DEPENDENCIES:
                 u, v = at[p], at[q]
-                # Checks u and v, and the metric, before a layer is read.
+                # Checks u and v before a layer is read.
                 d = _layer_distance(g, u, v)
-                layers = g.distance_layers()
                 lu, lv = layers[u], layers[v]
                 # I(u, v) = {u, v} | OR over 0 < k < d of L_k(u) & L_{d-k}(v).
                 interval = 1 << u | 1 << v
@@ -493,15 +518,39 @@ def equivalence_check(cnf: RestrictedCnf, *,
                              decision.lower_bound)
 
 
+def _in_graph(rg: ReductionGraph, masks: list[int]) -> list[int]:
+    """``masks``, read off the layout's offsets, after checking that each
+    is a set of vertices of the graph.  The ValueError names the lowest
+    vertex of any mask that the graph lacks, so a short graph fails the
+    same way every time."""
+    count = rg.graph.vertex_count
+    extra = 0
+    for mask in masks:
+        extra |= mask >> count
+    if extra:
+        missing = count + (extra & -extra).bit_length() - 1
+        raise ValueError(f"vertex {missing} out of range for {count} vertices")
+    return masks
+
+
+def _triple_cores(rg: ReductionGraph) -> list[int]:
+    """The n variable triples {x_i, z_i, xbar_i} as bitmasks, by i.
+    ValueError when the graph lacks one of their vertices."""
+    return _in_graph(rg, [_TRIPLE_OFFSETS << base for base in
+                          _bases(rg.variable_count, rg.clause_count)])
+
+
+def _region_cores(rg: ReductionGraph) -> list[int]:
+    """The m clause regions as bitmasks, by j.  ValueError when the graph
+    lacks one of their vertices."""
+    return _in_graph(rg, list(rg._region_masks))
+
+
 def _paper_cores(rg: ReductionGraph) -> list[int]:
     """Masks of the n variable triples and the m clause regions: the
-    concave sets every hull set meets, which is where h >= 4n comes from."""
-    g = rg.graph
-    cores = [vertex_mask(g, rg.variable_triple(i))
-             for i in range(1, rg.variable_count + 1)]
-    cores.extend(vertex_mask(g, rg.clause_region(j))
-                 for j in range(1, rg.clause_count + 1))
-    return cores
+    concave sets every hull set meets, which is where h >= 4n comes from.
+    ValueError when the graph lacks one of their vertices."""
+    return _triple_cores(rg) + _region_cores(rg)
 
 
 def _decide_with_paper_cores(rg: ReductionGraph,
@@ -509,7 +558,7 @@ def _decide_with_paper_cores(rg: ReductionGraph,
     """``hull_number_at_most(rg.graph, rg.k)``, with the decision search
     seeded by ``_paper_cores`` in place of its root core build.
 
-    The search checks each set with ``is_concave`` before using it and
+    The search checks each set with ``_concave_mask`` before using it and
     grows any core that is missing, so the answer does not rest on the
     construction being right.
     """

@@ -28,22 +28,32 @@ betweenness table and a pick added to a nearly full hull costs little.
 The decision search behind ``hull_number_at_most(g, k)`` builds the cores
 at once and rejects when the root packing exceeds k - |M|.  Otherwise it
 branches on concave cores, the implicit-hitting-set scheme of
-Moreno-Centeno & Karp: at each node it takes the first stored core that
-hull(T) misses, cut to the allowed candidates, and tries each of its
-members in ascending order, forbidding a member for the later siblings
-once its own branch has failed.  Every completion of T meets that cut
-core, and those that hold an earlier member were tried in that member's
-branch, so the branching is complete.  When hull(T) meets every stored
-core, a node with picks to spare grows a new one lazily: hull(T) is
-extended greedily by each allowed candidate that leaves it short of the
-full set, and the complement of that convex set is stored for the rest of
-the search.  At the last pick the node tries every allowed candidate
-instead, closing each once, where a grown core would close them twice.
+Moreno-Centeno & Karp.  When a node's packing equals its picks left, the
+packing is tight: each pick meets exactly one packed cut, so the allowed
+candidates shrink to the union of the packed cuts, and a child that picks
+w also loses the rest of w's packed cut.  The node then takes the stored
+core that hull(T) misses with the fewest allowed members, the first such
+in (size, mask) order, and tries each member of that cut in ascending
+order, forbidding a member for the later siblings once its own branch has
+failed.  A cut of one member is a forced pick, and an empty one, which
+only the tight restriction can leave, fails the node.  Every completion of
+T meets that cut core, and those that hold an earlier member were tried
+in that member's branch, so the branching is complete.  On a reduction at
+k = 4n the n variable triples pack tightly, so each pick is a truth value
+and a clause region cut to one literal is a unit clause: the search is
+DPLL (Davis, Logemann & Loveland) run through the paper's concave sets.
+When hull(T) meets every stored core, a node with picks to spare grows a
+new one lazily: hull(T) is extended greedily by each allowed candidate
+that leaves it short of the full set, and the complement of that convex
+set is stored for the rest of the search.  At the last pick the node tries
+every allowed candidate instead, closing each once, where a grown core
+would close them twice.
 
 On a reduction graph the equivalence harness seeds the decision search
 with the paper's n variable triples and m clause regions, the sets the
 root build returns on every reduction tried, and the build is skipped.
-Each seeded set is checked with ``is_concave`` before it is stored.
+Each seeded set is checked with ``_concave_mask``, the bitmask form of
+``is_concave``, before it is stored.
 Packing and branching are sound for any nonempty concave set, whatever its
 origin, so a set that fails the check is dropped and cannot make the
 answer wrong.  The branching never needed the cores to be complete either:
@@ -71,7 +81,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .chordal import simplicial_vertices
-from .convexity import extend_hull_mask, hull_mask, is_concave
+from .convexity import _concave_mask, extend_hull_mask, hull_mask
 from .errors import BudgetExceeded, Disconnected, TooLarge
 from .graph import Graph, mask_members, vertex_mask
 
@@ -143,7 +153,7 @@ class _Search:
             self.lower_bound = len(mandatory) + extra
             if extra == 3:
                 self.cores = self.concave_cores(start, allowed)
-                extra = max(extra, self.packing(start, allowed))
+                extra = max(extra, len(self.packing(start, allowed)))
                 self.lower_bound = len(mandatory) + extra
             picks = self.hit(start, allowed, extra)
         return HullNumberResult(len(mandatory) + extra, mandatory.union(picks))
@@ -153,7 +163,8 @@ class _Search:
 
         ``cores``, when given, are bitmasks of sets expected to be
         concave, used in place of the root core build.  Each is checked
-        with ``is_concave`` first, and an empty or failing one is dropped.
+        with ``_concave_mask`` first, and an empty or failing one is
+        dropped.
         """
         mandatory, start, allowed = self.root()
         if cores is None:
@@ -161,9 +172,9 @@ class _Search:
         else:
             self.cores = sorted(
                 (core for core in cores
-                 if core and is_concave(self.g, mask_members(core))),
+                 if core and _concave_mask(self.g, core)),
                 key=_core_order)
-        self.lower_bound = len(mandatory) + self.packing(start, allowed)
+        self.lower_bound = len(mandatory) + len(self.packing(start, allowed))
         picks = None
         if self.lower_bound <= k:
             picks = self.hit(start, allowed, k - len(mandatory))
@@ -187,15 +198,16 @@ class _Search:
                 covered |= core
         return sorted(cores, key=_core_order)
 
-    def packing(self, hull: int, allowed: int) -> int | None:
-        """Lower bound on the picks from ``allowed`` that complete ``hull``.
+    def packing(self, hull: int, allowed: int) -> list[int] | None:
+        """Greedily chosen, pairwise disjoint cut cores; their number is a
+        lower bound on the picks from ``allowed`` that complete ``hull``.
 
         Every core that misses ``hull`` must be met by a pick, and a pick
-        meets a core only inside ``allowed``.  Counts greedily chosen cut
-        cores that are pairwise disjoint; None when some cut core is empty.
+        meets a core only inside ``allowed``, so no pick meets two of the
+        returned cuts.  None when some cut core is empty.
         """
         used = 0
-        count = 0
+        packed = []
         for core in self.cores:
             if core & hull:
                 continue
@@ -204,8 +216,8 @@ class _Search:
                 return None
             if not cut & used:
                 used |= cut
-                count += 1
-        return count
+                packed.append(cut)
+        return packed
 
     def hit(self, hull: int, allowed: int, remaining: int):
         """Some at most ``remaining`` picks from ``allowed`` that complete
@@ -213,26 +225,51 @@ class _Search:
 
         This is the one place a node is settled: a full hull needs no pick;
         no pick left, an empty cut core or a packing above ``remaining``
-        fails; otherwise each member of the first core that the hull misses,
-        cut to ``allowed``, is a child.  With no such core one is grown, but
-        at the last pick each member of ``allowed`` is a child.
+        fails.  A packing equal to ``remaining`` is tight: each pick lies in
+        a different packed cut, so ``allowed`` shrinks to their union and a
+        child also loses the rest of its pick's cut.  Otherwise each member
+        of the smallest cut of a core that the hull misses is a child, so a
+        cut of one member is a forced pick and an empty one fails.  With no
+        such core one is grown, but at the last pick each member of
+        ``allowed`` is a child.
         """
         if hull == self.full:
             return ()
         if remaining <= 0:
             return None
-        need = self.packing(hull, allowed)
-        if need is None or need > remaining:
+        packed = self.packing(hull, allowed)
+        if packed is None or len(packed) > remaining:
             return None
-        core = next((core for core in self.cores if not core & hull), None)
-        if core is None and remaining > 1:
-            core = self.grow_core(hull, allowed, self.full)
-            insort(self.cores, core, key=_core_order)
-        for w in mask_members(allowed if core is None else core & allowed):
+        tight = len(packed) == remaining
+        if tight:
+            allowed = sum(packed)  # disjoint, so their sum is their union
+        branch = None
+        for core in self.cores:
+            if not core & hull:
+                cut = core & allowed
+                if branch is None or cut.bit_count() < branch.bit_count():
+                    branch = cut
+                    if cut.bit_count() <= 1:
+                        break
+        if branch is None:
+            if remaining == 1:
+                branch = allowed
+            else:
+                core = self.grow_core(hull, allowed, self.full)
+                insort(self.cores, core, key=_core_order)
+                branch = core & allowed
+        # Through its children a frame keeps only the packed cuts that hold
+        # a branch member, and none when the packing is not tight, so the
+        # stack does not hold a whole packing per frame.
+        packed = [cut for cut in packed if cut & branch] if tight else ()
+        for w in mask_members(branch):
             grown = self.close(hull, 1 << w)
-            rest = self.hit(grown, allowed & ~grown, remaining - 1)
-            if rest is not None:
-                return (w,) + rest
+            rest = allowed & ~grown
+            if tight:
+                rest &= ~next(cut for cut in packed if cut >> w & 1)
+            found = self.hit(grown, rest, remaining - 1)
+            if found is not None:
+                return (w,) + found
             allowed &= ~(1 << w)
         return None
 

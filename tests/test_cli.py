@@ -206,13 +206,13 @@ def test_equiv(capsys, sample_cnf_file):
 
 def test_equiv_budget_counts_no_root_core_build(capsys, sample_cnf_file):
     # Seeded with the paper's concave sets, the decision search settles
-    # the sample in 10 hull evaluations; the unseeded hull_number_at_most
-    # spends 70, most of them building its root cores.
+    # the sample in 4 hull evaluations; the unseeded hull_number_at_most
+    # spends 64, most of them building its root cores.
     code, out = invoke(capsys, "equiv", "--cnf", sample_cnf_file,
-                       "--budget", "10")
+                       "--budget", "4")
     assert code == 0
     assert out.splitlines()[1] == "h=12"
-    code = run(["equiv", "--cnf", sample_cnf_file, "--budget", "9"])
+    code = run(["equiv", "--cnf", sample_cnf_file, "--budget", "3"])
     assert code == 3
     assert "hull number is at least 12" in capsys.readouterr().err
 

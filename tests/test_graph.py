@@ -343,7 +343,30 @@ def test_sweep_layers_match_per_source_bfs():
         n = base.vertex_count
         planted.append(Graph(n, base.edges,
                              clique=rng.sample(range(n), rng.randint(3, n))))
+    # A dominating clique K, one whose closed neighbourhood is every vertex,
+    # fills a ball that holds K in one more sweep: a reduction's hub, a
+    # star's centre, and random graphs with every vertex joined to K.
+    planted += [build_reduction(random_restricted_cnf(3, 5)).graph,
+                Graph(6, [(0, v) for v in range(1, 6)], clique=[0])]
+    for _ in range(30):
+        base = random_graph(rng, min_vertices=3, max_vertices=14)
+        n = base.vertex_count
+        clique = rng.sample(range(n), rng.randint(1, n))
+        edges = list(base.edges)
+        edges += [(v, rng.choice(clique)) for v in range(n)
+                  if v not in clique and not base.adjacency_mask(v)
+                  & sum(1 << k for k in clique)]
+        planted.append(Graph(n, edges, clique=clique))
+
+    def dominating(g):
+        around = g._clique
+        for k in range(g.vertex_count):
+            if g._clique >> k & 1:
+                around |= g.adjacency_mask(k)
+        return bool(g._clique) and around == g.full_mask
+
     assert {g.is_connected for g in planted} == {False, True}
+    assert {dominating(g) for g in planted} == {False, True}
     graphs += planted
     connected = set()
     for g in graphs:

@@ -18,7 +18,7 @@ from geohull import (EquivalenceReport, Graph, HullDecision, InvalidInstance,
                      verify_structure)
 from helpers import refuse_between_table, refuse_distances
 
-SAMPLE_WITNESS = frozenset({5, 10, 11, 14, 18, 22, 23, 26, 34, 35, 36, 38})
+SAMPLE_WITNESS = frozenset({5, 10, 11, 14, 22, 23, 24, 26, 30, 34, 35, 38})
 
 
 def test_sample_counts(sample_reduction):
@@ -207,6 +207,20 @@ def test_assignment_to_hull_set_shape(sample_reduction):
         assert induced_assignment(rg, s) == bits
 
 
+def test_assignment_to_hull_set_rejects_a_short_assignment():
+    rg = build_reduction(random_restricted_cnf(2, 0))
+    with pytest.raises(ValueError,
+                       match="assignment of length 1 for 2 variables"):
+        assignment_to_hull_set(rg, (True,))
+
+
+def test_assignment_to_hull_set_rejects_a_long_assignment():
+    rg = build_reduction(random_restricted_cnf(2, 0))
+    with pytest.raises(ValueError,
+                       match="assignment of length 3 for 2 variables"):
+        assignment_to_hull_set(rg, (True, False, True))
+
+
 def test_forward_direction(sample_reduction, sample_cnf):
     rg = sample_reduction
     for assignment in satisfying_assignments(sample_cnf):
@@ -242,9 +256,11 @@ def test_solver_on_sample(sample_reduction):
     result = hull_number_exact(sample_reduction.graph)
     assert result.hull_number == 12
     assert result.witness == SAMPLE_WITNESS
-    # picks besides the tips: z_1, x_2, xbar_3
+    assert len(SAMPLE_WITNESS) == 12
+    assert is_hull_set(sample_reduction.graph, SAMPLE_WITNESS)
+    # picks besides the tips: z_1, xbar_2, x_3
     assert induced_assignment(sample_reduction, result.witness) == \
-        (False, True, False)
+        (False, False, True)
 
 
 def test_solver_on_tiny(tiny_reduction):
@@ -434,9 +450,27 @@ def test_truncated_graph_gives_fail_lines(sample_reduction):
     report = verify_structure(replace(rg, graph=Graph(20, edges)))
     failed = {c.name: c.detail for c in report.checks if not c.passed}
     assert set(failed) == {c.name for c in report.checks} - {"diameter"}
-    for name in ("hub-eccentricity", "cross-distances", "variable-triples",
-                 "clause-regions", "gadget-dependencies"):
+    for name in ("hub-eccentricity", "cross-distances", "gadget-dependencies"):
         assert "out of range for 20 vertices" in failed[name]
+    # Each core check names its lowest missing vertex: xbar_2 = 24 of the
+    # triple {17, 18, 24}, and x1_2 = 20 of clause 1's region.
+    assert failed["variable-triples"] == \
+        "error: vertex 24 out of range for 20 vertices"
+    assert failed["clause-regions"] == \
+        "error: vertex 20 out of range for 20 vertices"
+
+
+def test_paper_cores_name_a_vertex_the_graph_lacks(sample_reduction):
+    # The masks are read off the layout's offsets and then checked against
+    # the graph: the lowest triple vertex past 19 is 24, in {17, 18, 24}.
+    rg = sample_reduction
+    edges = [(u, v) for u, v in rg.graph.edges if v < 20]
+    with pytest.raises(ValueError,
+                       match="^vertex 24 out of range for 20 vertices$"):
+        reduction_module._paper_cores(replace(rg, graph=Graph(20, edges)))
+    wider = replace(rg, graph=Graph(41, rg.graph.edges + ((38, 39), (39, 40))))
+    assert reduction_module._paper_cores(wider) == \
+        reduction_module._paper_cores(rg)
 
 
 def test_format_labels(sample_reduction):

@@ -11,9 +11,9 @@ import geohull
 from geohull import (BudgetExceeded, Disconnected, Graph, HullDecision,
                      TooLarge, build_reduction, gadget_edges,
                      hull_number_at_most, hull_number_bruteforce,
-                     hull_number_exact, is_concave, is_hull_set,
-                     is_satisfiable, random_restricted_cnf,
-                     simplicial_vertices)
+                     hull_number_exact, induced_assignment, is_concave,
+                     is_hull_set, is_satisfiable, random_restricted_cnf,
+                     satisfies, simplicial_vertices)
 from geohull import solver as solver_module
 from geohull.graph import mask_members, vertex_mask
 from geohull.reduction import _decide_with_paper_cores, _paper_cores
@@ -148,7 +148,7 @@ def root_cores(g):
     search = _Search(g, None)
     start = search.close(0, vertex_mask(g, simplicial_vertices(g)))
     search.cores = search.concave_cores(start, g.full_mask & ~start)
-    return search.cores, search.packing(start, g.full_mask & ~start)
+    return search.cores, len(search.packing(start, g.full_mask & ~start))
 
 
 def test_core_bound_agrees_with_oracle(sample_reduction):
@@ -290,6 +290,22 @@ def test_seeded_search_drops_sets_that_are_not_concave(sample_reduction,
     assert dropped == 48
 
 
+def test_seeded_search_branches_like_dpll_at_scale():
+    # At k = 4n the n triples pack tightly, so a pick is a truth value and
+    # a clause region with one allowed member is a forced pick.  Branching
+    # on the first unmet core instead spends 50,000 evaluations on each.
+    for n, seed, satisfiable in ((30, 3, False), (50, 1, True)):
+        rg = build_reduction(random_restricted_cnf(n, seed))
+        decision = _Search(rg.graph, 200).decide(rg.k, _paper_cores(rg))
+        assert (decision.witness is not None) == satisfiable, (n, seed)
+        if satisfiable:
+            assert len(decision.witness) == rg.k
+            assert is_hull_set(rg.graph, decision.witness)
+            assert satisfies(rg.cnf, induced_assignment(rg, decision.witness))
+        else:
+            assert decision.lower_bound == rg.k + 1
+
+
 def test_no_pick_left_fails_the_node():
     # A 4-cycle with a pendant vertex: M = {4} and h = 2.  Without cores to
     # pack, "h <= 1" reaches a node with no pick left, which must fail
@@ -322,9 +338,9 @@ def test_decision_search_work(monkeypatch):
     g = Graph(16, BRANCHING_EDGES)
     monkeypatch.setattr(solver_module, "MAX_BRUTEFORCE_VERTICES", 16)
     assert hull_number_bruteforce(g).hull_number == 3
-    assert hull_number_at_most(g, 2, node_budget=137).witness is None
+    assert hull_number_at_most(g, 2, node_budget=135).witness is None
     with pytest.raises(BudgetExceeded):
-        hull_number_at_most(g, 2, node_budget=136)
+        hull_number_at_most(g, 2, node_budget=134)
 
 
 # 14 vertices, h = 5.  Both searches reach a node where a stored core that

@@ -118,6 +118,9 @@ def _corpus(tmp: str, cnf_path) -> list[list[str]]:
             corpus += [["equiv", "--cnf", cnf],
                        ["equiv", "--cnf", cnf, "--budget", "3"],
                        ["hullnum", "--graph", stem + ".g"]]
+    # Closing the simplicial vertices spends a budget of 1, so this exits 3
+    # whatever the search's branching rule.
+    corpus.append(["equiv", "--cnf", cnf_path(5, 4), "--budget", "1"])
     corpus += [["equiv", "--cnf", path("latin1.cnf")],
                ["verify-reduction", "--cnf", path("missing.cnf")]]
     corpus += [["equiv", "--cnf", cnf_path(n, seed)]
