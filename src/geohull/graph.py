@@ -33,11 +33,11 @@ class Graph:
     ORed with the clique's mask, so a clique K costs O(|K|) big-int steps
     instead of |K|(|K| - 1)/2 pairs.  Members are validated like edge
     endpoints: InvalidEdge for one out of range or repeated.  The clique is
-    stored on the graph: the distance sweep shares its members' balls, and
-    the concavity test skips the boundary edges inside it.  It is an input
-    form only: ``==``, ``hash``, ``edges`` and the text format see the
-    same graph as one built from every pair, so a parsed graph, which has
-    no stored clique, gives the same answers.
+    stored on the graph: the distance sweep fills a ball that holds a
+    dominating clique at once, and the concavity test skips the boundary
+    edges inside it.  It is an input form only: ``==``, ``hash``, ``edges``
+    and the text format see the same graph as one built from every pair,
+    so a parsed graph, which has no stored clique, gives the same answers.
 
     Instances are immutable after construction.  The constructor builds
     only the adjacency bitmasks (bit w of mask v is set when vw is an
@@ -134,37 +134,28 @@ class Graph:
         distance k + 1 of u are those within k of u or of a neighbour of u,
         so each sweep ORs the neighbours' radius-k balls into u's, walking
         the bits of u's adjacency mask in place, and what is new is u's next
-        layer.  Every member of the stored clique K sees all the others, so
-        the members' balls are ORed once per sweep and shared: a growing
-        member takes that union and walks only its neighbours outside the
-        clique.  When K dominates, its closed neighbourhood N[K] being
-        every vertex, a ball that holds all of K grows to every vertex in
-        the next sweep, with no walk: each member of K is within one step
-        of the whole graph.  So the members finish in the first sweep, as
-        a star's centre does, and on a reduction, whose hub dominates,
-        every gadget vertex finishes in the second.  A source drops out
-        once its ball holds every vertex, or stops growing, as it does in a
-        disconnected graph.
+        layer.  When the stored clique K dominates, its closed
+        neighbourhood N[K] being every vertex, a ball that holds all of K
+        grows to every vertex in the next sweep, with no walk: each member
+        of K is within one step of the whole graph.  So the members finish
+        in the first sweep, as a star's centre does, and on a reduction,
+        whose hub dominates, every gadget vertex finishes in the second.
+        A source drops out once its ball holds every vertex, or stops
+        growing, as it does in a disconnected graph.
         """
         adj = self._adj_mask
         full = self.full_mask
         clique = self._clique
-        members = mask_members(clique)
         around = clique
-        for k in members:
+        for k in mask_members(clique):
             around |= adj[k]
         dominating = bool(clique) and around == full
-        if dominating:
-            members = []  # each holds K from the start: no shared union
         balls = [mask | 1 << u for u, mask in enumerate(adj)]
         layers = [[1 << u, mask] if mask else [1 << u]
                   for u, mask in enumerate(adj)]
         growing = [u for u, ball in enumerate(balls) if ball != full]
         while growing:
             previous = balls[:]
-            shared = 0
-            for k in members:
-                shared |= previous[k]
             still = []
             for u in growing:
                 ball = old = previous[u]
@@ -172,9 +163,6 @@ class Graph:
                     ball = full
                 else:
                     rest = adj[u]
-                    if clique >> u & 1:
-                        ball |= shared
-                        rest &= ~clique
                     while rest:
                         low = rest & -rest
                         ball |= previous[low.bit_length() - 1]

@@ -30,18 +30,18 @@ at once and rejects when the root packing exceeds k - |M|.  Otherwise it
 branches on concave cores, the implicit-hitting-set scheme of
 Moreno-Centeno & Karp.  When a node's packing equals its picks left, the
 packing is tight: each pick meets exactly one packed cut, so the allowed
-candidates shrink to the union of the packed cuts, and a child that picks
-w also loses the rest of w's packed cut.  The node then takes the stored
-core that hull(T) misses with the fewest allowed members, the first such
-in (size, mask) order, and tries each member of that cut in ascending
-order, forbidding a member for the later siblings once its own branch has
-failed.  A cut of one member is a forced pick, and an empty one, which
-only the tight restriction can leave, fails the node.  Every completion of
-T meets that cut core, and those that hold an earlier member were tried
-in that member's branch, so the branching is complete.  On a reduction at
-k = 4n the n variable triples pack tightly, so each pick is a truth value
-and a clause region cut to one literal is a unit clause: the search is
-DPLL (Davis, Logemann & Loveland) run through the paper's concave sets.
+candidates shrink to the union of the packed cuts.  The node then takes
+the stored core that hull(T) misses with the fewest allowed members, the
+first such in (size, mask) order, and tries each member of that cut in
+ascending order, forbidding a member for the later siblings once its own
+branch has failed.  A cut of one member is a forced pick, and an empty
+one, which only the tight restriction can leave, fails the node.  Every
+completion of T meets that cut core, and those that hold an earlier
+member were tried in that member's branch, so the branching is complete.
+On a reduction at k = 4n the n variable triples pack tightly, so each
+pick is a truth value and a clause region cut to one literal is a unit
+clause: the search is DPLL (Davis, Logemann & Loveland) run through the
+paper's concave sets.
 When hull(T) meets every stored core, a node with picks to spare grows a
 new one lazily: hull(T) is extended greedily by each allowed candidate
 that leaves it short of the full set, and the complement of that convex
@@ -153,7 +153,7 @@ class _Search:
             self.lower_bound = len(mandatory) + extra
             if extra == 3:
                 self.cores = self.concave_cores(start, allowed)
-                extra = max(extra, len(self.packing(start, allowed)))
+                extra = max(extra, self.packing(start, allowed)[0])
                 self.lower_bound = len(mandatory) + extra
             picks = self.hit(start, allowed, extra)
         return HullNumberResult(len(mandatory) + extra, mandatory.union(picks))
@@ -174,7 +174,7 @@ class _Search:
                 (core for core in cores
                  if core and _concave_mask(self.g, core)),
                 key=_core_order)
-        self.lower_bound = len(mandatory) + len(self.packing(start, allowed))
+        self.lower_bound = len(mandatory) + self.packing(start, allowed)[0]
         picks = None
         if self.lower_bound <= k:
             picks = self.hit(start, allowed, k - len(mandatory))
@@ -198,16 +198,16 @@ class _Search:
                 covered |= core
         return sorted(cores, key=_core_order)
 
-    def packing(self, hull: int, allowed: int) -> list[int] | None:
-        """Greedily chosen, pairwise disjoint cut cores; their number is a
-        lower bound on the picks from ``allowed`` that complete ``hull``.
+    def packing(self, hull: int, allowed: int) -> tuple[int, int] | None:
+        """The number and the union of greedily chosen, pairwise disjoint
+        cut cores; the number is a lower bound on the picks from
+        ``allowed`` that complete ``hull``.
 
         Every core that misses ``hull`` must be met by a pick, and a pick
         meets a core only inside ``allowed``, so no pick meets two of the
-        returned cuts.  None when some cut core is empty.
+        chosen cuts.  None when some cut core is empty.
         """
-        used = 0
-        packed = []
+        count = used = 0
         for core in self.cores:
             if core & hull:
                 continue
@@ -216,8 +216,8 @@ class _Search:
                 return None
             if not cut & used:
                 used |= cut
-                packed.append(cut)
-        return packed
+                count += 1
+        return count, used
 
     def hit(self, hull: int, allowed: int, remaining: int):
         """Some at most ``remaining`` picks from ``allowed`` that complete
@@ -226,23 +226,21 @@ class _Search:
         This is the one place a node is settled: a full hull needs no pick;
         no pick left, an empty cut core or a packing above ``remaining``
         fails.  A packing equal to ``remaining`` is tight: each pick lies in
-        a different packed cut, so ``allowed`` shrinks to their union and a
-        child also loses the rest of its pick's cut.  Otherwise each member
-        of the smallest cut of a core that the hull misses is a child, so a
-        cut of one member is a forced pick and an empty one fails.  With no
-        such core one is grown, but at the last pick each member of
-        ``allowed`` is a child.
+        a different packed cut, so ``allowed`` shrinks to their union.
+        Otherwise each member of the smallest cut of a core that the hull
+        misses is a child, so a cut of one member is a forced pick and an
+        empty one fails.  With no such core one is grown, but at the last
+        pick each member of ``allowed`` is a child.
         """
         if hull == self.full:
             return ()
         if remaining <= 0:
             return None
         packed = self.packing(hull, allowed)
-        if packed is None or len(packed) > remaining:
+        if packed is None or packed[0] > remaining:
             return None
-        tight = len(packed) == remaining
-        if tight:
-            allowed = sum(packed)  # disjoint, so their sum is their union
+        if packed[0] == remaining:
+            allowed = packed[1]
         branch = None
         for core in self.cores:
             if not core & hull:
@@ -258,16 +256,9 @@ class _Search:
                 core = self.grow_core(hull, allowed, self.full)
                 insort(self.cores, core, key=_core_order)
                 branch = core & allowed
-        # Through its children a frame keeps only the packed cuts that hold
-        # a branch member, and none when the packing is not tight, so the
-        # stack does not hold a whole packing per frame.
-        packed = [cut for cut in packed if cut & branch] if tight else ()
         for w in mask_members(branch):
             grown = self.close(hull, 1 << w)
-            rest = allowed & ~grown
-            if tight:
-                rest &= ~next(cut for cut in packed if cut >> w & 1)
-            found = self.hit(grown, rest, remaining - 1)
+            found = self.hit(grown, allowed & ~grown, remaining - 1)
             if found is not None:
                 return (w,) + found
             allowed &= ~(1 << w)

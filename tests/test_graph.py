@@ -332,7 +332,7 @@ def test_sweep_layers_match_per_source_bfs():
         hub = g.vertex_count
         graphs.append(Graph(hub + 1, list(g.edges)
                             + [(v, hub) for v in range(hub)]))
-    # A stored clique shares its members' balls; beside it lie isolated
+    # A stored clique that need not dominate; beside it lie isolated
     # vertices, other components, or edges that join it to the rest.
     planted = [Graph(6, [(4, 5)], clique=[0, 1, 2]),
                Graph(5, [(2, 3), (3, 4)], clique=(2, 0, 1)),

@@ -269,6 +269,29 @@ def test_solver_on_tiny(tiny_reduction):
     assert result.witness == {2, 6, 10, 11, 14}
 
 
+def _maxsat_deficit(cnf):
+    """u*: the fewest clauses any assignment leaves unsatisfied, by
+    enumeration."""
+    return min(
+        sum(not any(assignment[abs(lit) - 1] == (lit > 0) for lit in clause)
+            for clause in cnf.clauses)
+        for assignment in product((False, True), repeat=cnf.variable_count))
+
+
+def test_hull_number_exceeds_4n_by_the_maxsat_deficit():
+    # h(G_phi) = 4n + u*(phi): the exact search on reductions, where the
+    # tight restriction runs, against an oracle outside the search.
+    deficits = set()
+    for seed in range(60):
+        n = seed % 6 + 1
+        cnf = random_restricted_cnf(n, seed)
+        deficit = _maxsat_deficit(cnf)
+        h = hull_number_exact(build_reduction(cnf).graph).hull_number
+        assert h - 4 * n == deficit, (n, seed)
+        deficits.add(deficit)
+    assert deficits == set(range(7))
+
+
 def test_equivalence_sample(sample_cnf):
     report = equivalence_check(sample_cnf)
     assert report.passed

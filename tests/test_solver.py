@@ -148,7 +148,7 @@ def root_cores(g):
     search = _Search(g, None)
     start = search.close(0, vertex_mask(g, simplicial_vertices(g)))
     search.cores = search.concave_cores(start, g.full_mask & ~start)
-    return search.cores, len(search.packing(start, g.full_mask & ~start))
+    return search.cores, search.packing(start, g.full_mask & ~start)[0]
 
 
 def test_core_bound_agrees_with_oracle(sample_reduction):

@@ -25,8 +25,11 @@ at k = 4n, seeded with the paper's cores or with its root core build):
   max_vertices=16)``;
 - ``toolkit-small exact``: the toolkit-small benchmark pool at seed 1;
 - ``equiv-batch decide seeded``: the equiv-batch benchmark pool at seed 1;
-- with ``--large`` also ``n7s0 exact``, ``n20s1 exact`` and ``n20s2
-  exact``, which take about a minute together.
+- with ``--large`` also ``n7s0 exact``, ``n20s1 exact``, ``n20s2
+  exact`` and ``scale decide seeded``, the 31 instances
+  ``random_restricted_cnf(n, seed)`` for n in 20, 30, 50, 80 and 120 with
+  seeds 0-5 and for n = 200 with seed 1; the four take a few seconds
+  together.
 
 The second form prints, per set, the two evaluation totals and which
 digests differ, and exits 1 when an answer digest differs or a witness is
@@ -99,6 +102,9 @@ def _sets(gh, large: bool):
         for n, seed in ((7, 0), (20, 1), (20, 2)):
             sets.append((f"n{n}s{seed} exact", "exact",
                          [rg.graph for rg in reductions([(n, seed)])]))
+        scale = [(n, s) for n in (20, 30, 50, 80, 120) for s in range(6)]
+        sets.append(("scale decide seeded", "seeded",
+                     reductions(scale + [(200, 1)])))
     return sets
 
 
@@ -165,7 +171,8 @@ def main() -> None:
     parser.add_argument("tree", nargs="?",
                         help="source tree whose src/ holds geohull")
     parser.add_argument("--large", action="store_true",
-                        help="add the n = 7 and n = 20 exact solves")
+                        help="add the n = 7 and n = 20 exact solves and the "
+                             "seeded scale set")
     parser.add_argument("--out", metavar="FILE",
                         help="write the record here, not to stdout")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
